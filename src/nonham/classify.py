@@ -1,19 +1,39 @@
 """Spanning-subgraph containment of a graph in the template families.
 
-``spanning_subgraph_of`` searches for a bijection between equal-order vertex
-sets carrying every edge of the graph into the template.  Templates here are
-nearly complete, so degree-compatibility pruning (a vertex may only map to a
-template vertex of at least its degree) collapses the search; candidates are
-tried in ascending template degree.
+Every template of the stability theorems is a clique A plus a small set B of
+low-degree vertices.  A graph g fits a template exactly when g has a set B of
+the template's size whose vertices are under the template's degree cap,
+whose induced graph g[B] the template allows, and whose neighbours outside B
+fit in the template's attachment set; A is a clique, so the other vertices
+can go anywhere in it:
+
+=========  ====  ==========  ===============  =============================
+family     |B|   degree cap  g[B]             N(B) - B
+=========  ====  ==========  ===============  =============================
+H(n,d)     d     d           independent      at most d vertices
+K'(n,d)    d     d           anything         at most 1 (the cut vertex)
+H'(n,d)    d+1   d+1         at most 1 edge   at most d vertices
+G'_2(n)    3     2           independent      N(b_i) inside {a_i, x}
+F_3(n)     4     3           a matching       at most 2 vertices
+=========  ====  ==========  ===============  =============================
+
+``match_template`` searches for B directly (for K', as components of g - x
+for a cut vertex x) and returns the witness in ``Family.build()``'s vertex
+layout; ``classify`` runs it against every template of a degree bound.
+
+``spanning_subgraph_of`` is the generic search for a bijection between
+equal-order vertex sets carrying every edge of a graph into any template.
+Degree-compatibility pruning (a vertex may only map to a template vertex of
+at least its degree) cuts its search; candidates are tried in ascending
+template degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from nonham.families import Family
-from nonham.graphs import Graph, bits, is_independent, mask_of
+from nonham.graphs import Graph, bits, mask_of, twin_masks
 
 
 def spanning_subgraph_of(g: Graph, template: Graph) -> list[int] | None:
@@ -73,38 +93,169 @@ def is_isomorphic(g: Graph, other: Graph) -> bool:
     )
 
 
-def _match_h_fast(g: Graph, d: int) -> list[int] | None:
-    """Containment in the clique-plus-independent-set template, directly.
+def _layout(n: int, fixed: dict[int, int]) -> list[int]:
+    """Complete a partial vertex map to a bijection of range(n).
 
-    g fits iff some independent d-set B has all its outside neighbors inside a
-    set of at most d vertices; B maps to the low-degree side, its neighborhood
-    to the attachment vertices, everything else to the clique.
+    Unmapped vertices take the unused images in ascending order; every
+    template sends them into its clique, where any placement works.
+    """
+    result = [fixed.get(v, -1) for v in range(n)]
+    free = iter(sorted(set(range(n)) - set(fixed.values())))
+    return [w if w >= 0 else next(free) for w in result]
+
+
+def _low_side(fam: Family) -> tuple[int, int, int, int]:
+    """(|B|, degree cap on B, edges g[B] may have, bound on |N(B) - B|)."""
+    d = fam.d
+    if fam.tag == "h":
+        return d, d, 0, d
+    if fam.tag == "hprime":
+        return d + 1, d + 1, 1, d
+    if fam.tag == "gprime2":
+        return 3, 2, 0, 4
+    return 4, 3, 2, 2
+
+
+def _search_low_side(g: Graph, fam: Family) -> list[int] | None:
+    """Choose B vertex by vertex among the vertices under the degree cap.
+
+    g[B] must be a matching with at most the allowed number of edges.  A
+    vertex of N(B) can still leave the attachment set later only by joining
+    B, which adds an edge, so a branch is cut once the attachments exceed
+    the bound by more than the edges left to add.  Passing over a vertex
+    passes over its twins too: swapping twins is an automorphism of g.
+    """
+    n, adj = g.n, g.adj
+    size, cap, max_edges, attach = _low_side(fam)
+    cand = sorted(
+        (v for v in range(n) if adj[v].bit_count() <= cap),
+        key=lambda v: (adj[v].bit_count(), v),
+    )
+    twin = twin_masks(g)
+    chosen: list[int] = []
+
+    def grow(start: int, bmask: int, nb: int, edges: int) -> list[int] | None:
+        need = size - len(chosen)
+        if need == 0:
+            return _place_low_side(g, fam, chosen, nb)
+        passed = 0
+        for i in range(start, len(cand) - need + 1):
+            v = cand[i]
+            if twin[v] & passed:
+                continue
+            passed |= 1 << v
+            inner = adj[v] & bmask
+            e = edges
+            if inner:
+                if inner & (inner - 1) or adj[inner.bit_length() - 1] & bmask:
+                    continue
+                e += 1
+                if e > max_edges:
+                    continue
+            b = bmask | 1 << v
+            out = (nb | adj[v]) & ~b
+            if out.bit_count() - min(max_edges - e, need - 1) > attach:
+                continue
+            chosen.append(v)
+            found = grow(i + 1, b, out, e)
+            if found is not None:
+                return found
+            chosen.pop()
+        return None
+
+    return grow(0, 0, 0, 0)
+
+
+def _place_low_side(g: Graph, fam: Family, low: list[int], nb: int) -> list[int] | None:
+    """The witness for a complete B, or None when G'_2's attachments fail.
+
+    B fills the template's last |B| vertices with g[B]'s matched pairs on
+    the template's B-edges, which come last; N(B) - B goes to the lowest
+    clique vertices, which form the attachment set.
     """
     n = g.n
-    gdeg = g.degrees()
-    low = [v for v in range(n) if gdeg[v] <= d]
-    for B in combinations(low, d):
-        bmask = mask_of(B)
-        if not is_independent(g, bmask):
+    if fam.tag == "gprime2":
+        return _place_gprime2(g, low, nb)
+    bmask = mask_of(low)
+    order = [v for v in low if not g.adj[v] & bmask]
+    for v in low:
+        partner = g.adj[v] & bmask
+        if partner and v not in order:
+            order += [v, partner.bit_length() - 1]
+    fixed = {v: n - len(low) + i for i, v in enumerate(order)}
+    fixed.update((v, i) for i, v in enumerate(bits(nb)))
+    return _layout(n, fixed)
+
+
+def _place_gprime2(g: Graph, low: list[int], nb: int) -> list[int] | None:
+    """Find distinct a_1, a_2, a_3, x with N(b_i) inside {a_i, x}."""
+    n = g.n
+    for x in [*bits(nb), None]:
+        rest = [g.adj[b] & ~(0 if x is None else 1 << x) for b in low]
+        named = [r for r in rest if r]
+        if any(r & (r - 1) for r in named) or len(set(named)) < len(named):
             continue
-        nb = 0
-        for v in B:
-            nb |= g.adj[v]
-        nb &= ~bmask
-        if nb.bit_count() > d:
-            continue
-        result = [0] * n
-        attach = list(bits(nb))
-        for i, v in enumerate(B):
-            result[v] = n - d + i
-        for i, v in enumerate(attach):
-            result[v] = i
-        rest = [v for v in range(n) if not bmask >> v & 1 and not nb >> v & 1]
-        slots = [w for w in range(len(attach), n - d)]
-        for v, w in zip(rest, slots):
-            result[v] = w
-        return result
+        fixed = {b: n - 3 + i for i, b in enumerate(low)}
+        fixed.update((r.bit_length() - 1, i) for i, r in enumerate(rest) if r)
+        if x is not None:
+            fixed[x] = 3
+        return _layout(n, fixed)
     return None
+
+
+def _match_kprime(g: Graph, d: int) -> list[int] | None:
+    """B is a union of components of g - x with d vertices in all.
+
+    A component of at most d vertices has all its degrees at most d, and a
+    vertex of larger degree lies in a component of more than d vertices, so
+    components are grown from low-degree vertices and dropped once too big.
+    A subset sum over the sizes that remain picks B for each cut vertex x.
+    """
+    n, adj = g.n, g.adj
+    low = mask_of(v for v in range(n) if adj[v].bit_count() <= d)
+    if low.bit_count() < d:
+        return None
+    for x in range(n):
+        sums = {0: 0}
+        seeds = low & ~(1 << x)
+        while seeds:
+            comp = frontier = seeds & -seeds
+            while frontier and comp.bit_count() <= d:
+                reach = 0
+                for v in bits(frontier):
+                    reach |= adj[v]
+                frontier = reach & ~comp & ~(1 << x)
+                comp |= frontier
+            seeds &= ~comp
+            size = comp.bit_count()
+            if size > d:
+                continue
+            for total, mask in list(sums.items()):
+                if total + size <= d:
+                    sums.setdefault(total + size, mask | comp)
+            if d in sums:
+                fixed = {v: n - d + i for i, v in enumerate(bits(sums[d]))}
+                fixed[x] = n - d - 1
+                return _layout(n, fixed)
+    return None
+
+
+def match_template(g: Graph, fam: Family) -> list[int] | None:
+    """A witness that g is a spanning subgraph of ``fam.build()``, or None.
+
+    The returned list sends g-vertex v to template vertex result[v].  Every
+    template is a clique A plus a small set B of low-degree vertices, so g
+    fits exactly when some vertex set of g can play B: A is a clique, so the
+    remaining vertices can go anywhere in it.  Covers the h, kprime, hprime,
+    gprime2 and f3 families.
+    """
+    if g.n != fam.n:
+        raise ValueError("template containment needs equal orders")
+    if fam.tag == "gprimed" or not fam.is_valid():
+        raise ValueError(f"no structural template for {fam.label()}")
+    if fam.tag == "kprime":
+        return _match_kprime(g, fam.d)
+    return _search_low_side(g, fam)
 
 
 @dataclass(frozen=True)
@@ -150,13 +301,9 @@ def classify(g: Graph, d: int) -> ClassificationResult:
         if not fam.is_valid():
             skipped.append(fam)
             continue
-        template = fam.build()
-        if fam.tag == "h" and n > 16:
-            found = _match_h_fast(g, fam.d)
-        else:
-            found = spanning_subgraph_of(g, template)
+        found = match_template(g, fam)
         if found is not None:
-            _check_witness(g, template, found)
+            _check_witness(g, fam.build(), found)
             matched.append(fam)
             witnesses[fam] = found
     return ClassificationResult(tuple(matched), witnesses, tuple(skipped))

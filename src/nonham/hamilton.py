@@ -289,13 +289,17 @@ def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
 
 def saturate(g: Graph) -> Graph:
     """Close a nonhamiltonian graph under edge additions that keep it
-    nonhamiltonian, probing nonedges in lexicographic order."""
+    nonhamiltonian, probing nonedges in lexicographic order.
+
+    The probes are one-off graphs, so they bypass the hamiltonicity cache
+    and leave it holding only the input.
+    """
     if is_hamiltonian(g):
         raise ValueError("saturate requires a nonhamiltonian input")
     cur = g
     for u, v in g.nonedges():
         candidate = add_edge(cur, u, v)
-        if not is_hamiltonian(candidate):
+        if _search_cycle(candidate) is None:
             cur = candidate
     return cur
 

@@ -17,10 +17,11 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from nonham.classify import _template_set, classify, is_isomorphic, spanning_subgraph_of
+from nonham.classify import _template_set, classify, is_isomorphic, match_template
 from nonham.counting import count_cliques
 from nonham.families import Family, build_H, build_Kprime
 from nonham.formulas import e_bound, h_k, star_count_formula
@@ -106,10 +107,21 @@ def _examine_prior_stability(g: Graph, p: dict):
         return None
     tallies = {}
     for fam in (Family("h", n, d), Family("kprime", n, d)):
-        if spanning_subgraph_of(g, fam.build()) is not None:
+        if match_template(g, fam) is not None:
             tallies[fam.label()] = 1
     ok = bool(tallies)
     return ok, observed, threshold, ok, tallies
+
+
+@lru_cache(maxsize=16)
+def _star_extremes(n: int, d: int, t: int) -> tuple[int, Graph, Graph]:
+    """The star-count bound for (n, d, t) and the two graphs attaining it."""
+    low, high = build_H(n, d), build_H(n, _half(n))
+    bound = max(
+        star_count_formula(low.degrees(), t),
+        star_count_formula(high.degrees(), t),
+    )
+    return bound, low, high
 
 
 def _examine_star(g: Graph, p: dict):
@@ -117,11 +129,7 @@ def _examine_star(g: Graph, p: dict):
     if min_degree(g) < d or is_hamiltonian(g):
         return None
     observed = star_count_formula(g.degrees(), t)
-    low, high = build_H(n, d), build_H(n, _half(n))
-    bound = max(
-        star_count_formula(low.degrees(), t),
-        star_count_formula(high.degrees(), t),
-    )
+    bound, low, high = _star_extremes(n, d, t)
     if observed > bound:
         return False, observed, bound, False, {}
     if observed < bound:

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from helpers import oracle_spanning, random_graph, random_supergraph
+from helpers import REPO_GRAPHS8, oracle_spanning, random_graph, random_supergraph
 from nonham.classify import (
     ClassificationResult,
-    _match_h_fast,
+    _template_set,
     classify,
     is_isomorphic,
+    match_template,
     spanning_subgraph_of,
 )
+from nonham.enumeration import enumerate_nonisomorphic, stream_graph6
 from nonham.families import Family, build_Gprime2, build_H, build_Kprime
 from nonham.graphs import build_from_edges, complete_graph, relabel
 
@@ -140,26 +142,108 @@ def test_is_isomorphic():
     assert is_isomorphic(build_Kprime(9, 1), build_H(9, 1))
 
 
-def test_match_h_fast_agrees_with_generic():
+def _valid_templates(n, d):
+    return [fam for fam in _template_set(n, d) if fam.is_valid()]
+
+
+def _assert_agrees(g, fam):
+    template = fam.build()
+    found = match_template(g, fam)
+    generic = spanning_subgraph_of(g, template)
+    assert (found is None) == (generic is None), (fam, g)
+    if found is not None:
+        _assert_witness(g, fam, found)
+
+
+def _assert_witness(g, fam, found):
+    template = fam.build()
+    assert sorted(found) == list(range(g.n)), fam
+    for u, v in g.edges():
+        assert template.has_edge(found[u], found[v]), (fam, g)
+
+
+def test_match_template_agrees_with_generic_small():
     rng = random.Random(35)
-    for trial in range(120):
-        n = rng.randrange(5, 9)
-        d = rng.randrange(1, (n - 1) // 2 + 1)
-        template = build_H(n, d)
-        if trial % 3 == 0:
-            g = random_graph(rng, n, 0.3)
-        elif trial % 3 == 1:
-            edges = template.edges()
-            rng.shuffle(edges)
-            g = build_from_edges(n, edges[: rng.randrange(len(edges) + 1)])
-        else:
-            g = relabel(template, rng.sample(range(n), n))
-        fast = _match_h_fast(g, d)
-        generic = spanning_subgraph_of(g, template)
-        assert (fast is None) == (generic is None), (n, d, g)
-        if fast is not None:
-            for u, v in g.edges():
-                assert template.has_edge(fast[u], fast[v])
+    for n in range(3, 8):
+        for g in enumerate_nonisomorphic(n):
+            g = relabel(g, rng.sample(range(n), n))
+            for d in range(1, (n - 1) // 2 + 1):
+                for fam in _valid_templates(n, d):
+                    _assert_agrees(g, fam)
+
+
+def test_match_template_agrees_with_generic_on_corpus_sample():
+    rng = random.Random(36)
+    corpus = list(stream_graph6(REPO_GRAPHS8))
+    for g in rng.sample(corpus, 300):
+        for d in (1, 2, 3):
+            for fam in _valid_templates(8, d):
+                _assert_agrees(g, fam)
+
+
+def _near_members(rng, fam):
+    """A relabelled member, the member minus a few edges, and plus one nonedge."""
+    n = fam.n
+    member = relabel(fam.build(), rng.sample(range(n), n))
+    edges = member.edges()
+    rng.shuffle(edges)
+    fewer = build_from_edges(n, edges[rng.randrange(1, 5):])
+    more = build_from_edges(n, edges + [rng.choice(member.nonedges())])
+    return member, fewer, more
+
+
+def _families_at(n):
+    out = [Family(tag, n, d) for tag in ("h", "kprime", "hprime") for d in range(1, n)]
+    out += [Family("gprime2", n, 2), Family("f3", n, 3)]
+    return [fam for fam in out if fam.is_valid()]
+
+
+def test_match_template_agrees_with_generic_on_near_members():
+    rng = random.Random(37)
+    for fam in _families_at(9):
+        for g in _near_members(rng, fam):
+            for d in range(1, 5):
+                for other in _valid_templates(9, d):
+                    _assert_agrees(g, other)
+
+
+@pytest.mark.parametrize("n", [12, 16, 40, 64])
+def test_match_template_on_large_near_members(n):
+    # The generic search is too slow here; members and their subgraphs must
+    # fit their own template, a member plus an edge has too many edges to.
+    rng = random.Random(n)
+    for fam in _families_at(n):
+        member, fewer, more = _near_members(rng, fam)
+        for g in (member, fewer):
+            found = match_template(g, fam)
+            assert found is not None, fam
+            _assert_witness(g, fam, found)
+        assert match_template(more, fam) is None, fam
+        cd = min(fam.d, (n - 1) // 2)
+        for g in (member, fewer, more):
+            for other, found in classify(g, cd).witnesses.items():
+                _assert_witness(g, other, found)
+
+
+@pytest.mark.parametrize("fam, d", [
+    (Family("gprime2", 14, 2), 2),
+    (Family("kprime", 16, 2), 2),
+    (Family("f3", 16, 3), 3),
+])
+def test_classify_relabelled_members_of_order_14_and_16(fam, d):
+    # The generic search ran for more than 30 s on each of these.
+    rng = random.Random(38)
+    g = relabel(fam.build(), rng.sample(range(fam.n), fam.n))
+    assert fam in classify(g, d).matched
+
+
+def test_match_template_rejects_unsupported_families():
+    with pytest.raises(ValueError):
+        match_template(build_H(9, 2), Family("gprimed", 9, 2))
+    with pytest.raises(ValueError):
+        match_template(build_H(9, 2), Family("h", 9, 5))
+    with pytest.raises(ValueError):
+        match_template(build_H(9, 2), Family("h", 10, 2))
 
 
 def test_classification_result_tags():

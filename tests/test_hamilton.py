@@ -13,6 +13,7 @@ from nonham.families import build_H
 from nonham.graphs import build_from_edges, complete_graph
 from nonham.hamilton import (
     PathPartition,
+    _cycle_cached,
     find_hamiltonian_cycle,
     hamiltonian_path_between,
     is_hamiltonian,
@@ -164,6 +165,15 @@ def test_saturate_properties_exhaustive():
 def test_saturate_deterministic():
     g = build_from_edges(4, [])
     assert saturate(g) == saturate(g)
+
+
+def test_saturate_caches_only_its_input():
+    # a 10-vertex path: nonhamiltonian, with 36 nonedges to probe
+    g = build_from_edges(10, [(i, i + 1) for i in range(9)])
+    before = _cycle_cached.cache_info().currsize
+    s = saturate(g)
+    assert _cycle_cached.cache_info().currsize - before <= 1
+    assert is_saturated(s)
 
 
 def test_saturate_properties_order7():
