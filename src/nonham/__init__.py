@@ -17,7 +17,6 @@ from nonham.graphs import (
     Graph,
     add_edge,
     build_from_edges,
-    complement,
     complete_graph,
     degree,
     graph6_decode,

@@ -166,6 +166,17 @@ def _cmd_enum(args) -> int:
     return 0
 
 
+# theorem -> (sweep, required parameters in the sweep's positional order)
+_VERIFY = {
+    "edge-bound": (verify_mod.verify_edge_bound, ("d",)),
+    "clique-bound": (verify_mod.verify_clique_bound, ("d", "k")),
+    "stability": (verify_mod.verify_stability, ("d", "k")),
+    "prior-stability": (verify_mod.verify_prior_stability, ("d", "k")),
+    "star": (verify_mod.verify_star_claim, ("d", "t")),
+    "saturation": (verify_mod.verify_saturation_lemmas, ()),
+}
+
+
 def _cmd_verify(args) -> int:
     if args.input is not None:
         stream = _input_graphs(args.input)
@@ -173,24 +184,11 @@ def _cmd_verify(args) -> int:
         stream = enumerate_nonisomorphic(args.n)
     workers = max(1, args.workers) if args.workers else _default_workers()
     kind = args.theorem
-    needs = {"edge-bound": ("d",), "clique-bound": ("d", "k"),
-             "stability": ("d", "k"), "prior-stability": ("d", "k"),
-             "star": ("d", "t"), "saturation": ()}
-    for name in needs[kind]:
+    sweep, needs = _VERIFY[kind]
+    for name in needs:
         if getattr(args, name) is None:
             raise ValueError(f"verify {kind} requires --{name}")
-    if kind == "edge-bound":
-        report = verify_mod.verify_edge_bound(args.n, args.d, stream, workers)
-    elif kind == "clique-bound":
-        report = verify_mod.verify_clique_bound(args.n, args.d, args.k, stream, workers)
-    elif kind == "stability":
-        report = verify_mod.verify_stability(args.n, args.d, args.k, stream, workers)
-    elif kind == "prior-stability":
-        report = verify_mod.verify_prior_stability(args.n, args.d, args.k, stream, workers)
-    elif kind == "star":
-        report = verify_mod.verify_star_claim(args.n, args.d, args.t, stream, workers)
-    else:
-        report = verify_mod.verify_saturation_lemmas(args.n, stream, workers)
+    report = sweep(args.n, *(getattr(args, name) for name in needs), stream, workers)
     text = report.to_json()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -294,10 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("verify", help="exhaustive theorem sweeps")
-    p.add_argument("theorem", choices=[
-        "edge-bound", "clique-bound", "stability", "prior-stability",
-        "star", "saturation",
-    ])
+    p.add_argument("theorem", choices=list(_VERIFY))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int)
     p.add_argument("--k", type=int)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from nonham.formulas import falling_factorial
-from nonham.graphs import Graph, bits
+from nonham.graphs import Graph, bits, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def count_labeled_embeddings(g: Graph, f: Graph) -> int:
     isolated = f.n - len(core)
     if not core:
         return falling_factorial(g.n, f.n)
-    f_core = f if isolated == 0 else _restrict(f, core)
+    f_core = f if isolated == 0 else induced_subgraph(f, core)
     order = _pattern_order(f_core)
     back: list[list[int]] = []
     for i, v in enumerate(order):
@@ -89,15 +89,6 @@ def count_labeled_embeddings(g: Graph, f: Graph) -> int:
 
     core_count = place(0, 0)
     return core_count * falling_factorial(g.n - len(core), isolated)
-
-
-def _restrict(f: Graph, kept: list[int]) -> Graph:
-    index = {v: i for i, v in enumerate(kept)}
-    rows = [0] * len(kept)
-    for v in kept:
-        for u in bits(f.adj[v]):
-            rows[index[v]] |= 1 << index[u]
-    return Graph(len(kept), tuple(rows))
 
 
 def count_cliques(g: Graph, k: int) -> int:
@@ -160,14 +151,10 @@ def automorphism_count(f: Graph) -> int:
     return rec(0, 0)
 
 
-def embedding_census(g: Graph, f: Graph) -> EmbeddingCount:
+def count_unlabeled(g: Graph, f: Graph) -> int:
+    """Unlabeled copies of f in g: labeled count over |Aut(f)|, exact."""
     return EmbeddingCount(
         labeled=count_labeled_embeddings(g, f),
         pattern_order=f.n,
         pattern_automorphisms=automorphism_count(f),
-    )
-
-
-def count_unlabeled(g: Graph, f: Graph) -> int:
-    """Unlabeled copies of f in g: labeled count over |Aut(f)|, exact."""
-    return embedding_census(g, f).unlabeled
+    ).unlabeled

@@ -1,12 +1,19 @@
 """Isomorph-free graph streams for exhaustive sweeps.
 
-The internal generator covers 1 <= n <= 7: a labeled graph is kept exactly
-when its adjacency bit-string (upper triangle in graph6 stream order, first
-bit most significant) is lexicographically minimal over all vertex
-relabelings.  The minimum is evaluated for all 2^C(n,2) labeled graphs at
-once: a vectorized fixpoint propagates orbit minima along two generating
-permutations (a transposition and the full cycle).  Larger orders come from
-external graph6 files, typically produced with ``scripts/make_graphs8.py``.
+A graph's code is its adjacency bit-string (upper triangle in graph6 stream
+order, first bit most significant); its canonical form is the relabeling with
+the lexicographically smallest code, found by one branch-and-bound search
+(``_min_code_perm``).
+
+The internal generator covers 1 <= n <= 8 by Read's orderly algorithm
+(R. C. Read, "Every one a winner", Ann. Discrete Math. 2, 1978; B. D. McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  The first
+C(n-1, 2) bits of a code are the code of the graph induced on vertices
+0..n-2, so the parent of a canonical graph is canonical.  Every canonical
+graph on n vertices therefore arises exactly once by giving the new vertex
+n-1 each possible neighborhood in each canonical (n-1)-graph and keeping the
+children that are their own canonical form.  Larger orders come from
+external graph6 files.
 """
 
 from __future__ import annotations
@@ -14,16 +21,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from nonham.graphs import Graph, Graph6Error, graph6_decode, min_degree, relabel, twin_masks
+from nonham.hamilton import is_hamiltonian
 
-INTERNAL_MAX_ORDER = 7
-
-
-def _stream_pos(i: int, j: int) -> int:
-    """Position of pair (i < j) in the graph6 payload bit stream."""
-    return j * (j - 1) // 2 + i
+INTERNAL_MAX_ORDER = 8
 
 
 def _code_of(g: Graph) -> int:
@@ -35,76 +36,47 @@ def _code_of(g: Graph) -> int:
     return code
 
 
-def _graph_from_code(n: int, code: int) -> Graph:
-    m = n * (n - 1) // 2
-    rows = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            if code >> (m - 1 - _stream_pos(i, j)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
-
-
-def _perm_bit_pairs(n: int, perm: list[int]) -> list[tuple[int, int]]:
-    m = n * (n - 1) // 2
-    pairs = []
-    for j in range(1, n):
-        for i in range(j):
-            a, b = sorted((perm[i], perm[j]))
-            src = m - 1 - _stream_pos(i, j)
-            dst = m - 1 - _stream_pos(a, b)
-            pairs.append((src, dst))
-    return pairs
-
-
 @lru_cache(maxsize=None)
-def _canonical_codes(n: int) -> tuple[int, ...]:
+def _canonical_graphs(n: int) -> tuple[Graph, ...]:
+    """The canonical graphs on n vertices in ascending code order."""
     if n == 1:
-        return (0,)
-    m = n * (n - 1) // 2
-    codes = np.arange(1 << m, dtype=np.int64)
-    transposition = [1, 0] + list(range(2, n))
-    cycle = [(v + 1) % n for v in range(n)]
-    tables = []
-    for perm in (transposition, cycle):
-        table = np.zeros(1 << m, dtype=np.int64)
-        for src, dst in _perm_bit_pairs(n, perm):
-            table |= (codes >> src & 1) << dst
-        tables.append(table)
-    orbit_min = codes.copy()
-    for _ in range(100_000):
-        before = orbit_min
-        for table in tables:
-            orbit_min = np.minimum(orbit_min, orbit_min[table])
-        if np.array_equal(orbit_min, before):
-            break
-    else:
-        raise RuntimeError("orbit minimum propagation did not converge")
-    return tuple(int(c) for c in np.nonzero(orbit_min == codes)[0])
+        return (Graph(1, (0,)),)
+    new_bit = 1 << (n - 1)
+    children = []
+    for parent in _canonical_graphs(n - 1):
+        for nbhd in range(new_bit):
+            rows = [row | new_bit if nbhd >> v & 1 else row for v, row in enumerate(parent.adj)]
+            child = Graph(n, (*rows, nbhd))
+            if _min_code_perm(child, stop_below_own=True)[0] == _code_of(child):
+                children.append(child)
+    children.sort(key=_code_of)
+    return tuple(children)
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class on n vertices, 1 <= n <= 7.
+    """One representative per isomorphism class on n vertices, 1 <= n <= 8.
 
-    Larger orders must come from an external graph6 stream.
+    The representatives are canonical forms, yielded in ascending graph6
+    order.  Larger orders must come from an external graph6 stream.
     """
     if not 1 <= n <= INTERNAL_MAX_ORDER:
         raise ValueError(
             f"internal enumeration supports 1 <= n <= {INTERNAL_MAX_ORDER}; "
             "supply an external graph6 stream for larger orders"
         )
-    for code in _canonical_codes(n):
-        yield _graph_from_code(n, code)
+    yield from _canonical_graphs(n)
 
 
-def _min_code_perm(g: Graph) -> tuple[int, list[int]]:
+def _min_code_perm(g: Graph, stop_below_own: bool = False) -> tuple[int, list[int]]:
     """Minimal code over relabelings and a relabeling achieving it.
 
     Branch and bound over placement orders: a partial placement determines a
     prefix of the bit stream, so any branch whose prefix exceeds the best
     known code is cut.  Interchangeable unplaced vertices (equal open or
     closed neighborhoods) are tried once per level.
+
+    With ``stop_below_own`` the search stops at the first code below g's own,
+    so the code returned equals g's own exactly when g is canonical.
     """
     n, adj = g.n, g.adj
     if n == 1:
@@ -115,14 +87,16 @@ def _min_code_perm(g: Graph) -> tuple[int, list[int]]:
     best_order = list(range(n))
     placed: list[int] = []
 
-    def dfs(used: int, prefix: int, filled: int) -> None:
+    def dfs(used: int, prefix: int, filled: int) -> bool:
+        """Search the completions of ``placed``; True stops the whole search."""
         nonlocal best, best_order
         k = len(placed)
         if k == n:
             if prefix < best:
                 best = prefix
                 best_order = placed.copy()
-            return
+                return stop_below_own
+            return False
         cands = []
         for w in range(n):
             if used >> w & 1:
@@ -140,8 +114,10 @@ def _min_code_perm(g: Graph) -> tuple[int, list[int]]:
             if new_prefix > best >> (m - new_filled):
                 break
             placed.append(w)
-            dfs(used | 1 << w, new_prefix, new_filled)
+            if dfs(used | 1 << w, new_prefix, new_filled):
+                return True
             placed.pop()
+        return False
 
     dfs(0, 0, 0)
     perm = [0] * n
@@ -180,15 +156,10 @@ def apply_filters(
     stream: Iterable[Graph],
     min_degree_bound: int | None = None,
     require_nonhamiltonian: bool = False,
-    require_connected: bool = False,
 ) -> Iterator[Graph]:
     """Compose stream filters, cheap degree test before hamiltonicity."""
-    from nonham.hamilton import _connected, is_hamiltonian
-
     for g in stream:
         if min_degree_bound is not None and min_degree(g) < min_degree_bound:
-            continue
-        if require_connected and not _connected(g):
             continue
         if require_nonhamiltonian and is_hamiltonian(g):
             continue

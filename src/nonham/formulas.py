@@ -97,16 +97,6 @@ def star_count_formula(degree_sequence: Iterable[int], t: int) -> int:
     return sum(falling_factorial(d, t - 1) for d in degree_sequence)
 
 
-def star_count_unlabeled(degree_sequence: Iterable[int], t: int) -> int:
-    """Unlabeled star count: sum of C(d(v), t-1) over vertices."""
-    if t < 2:
-        raise ValueError("star_count_unlabeled needs t >= 2")
-    total = 0
-    for d in degree_sequence:
-        total += falling_factorial(d, t - 1) // _factorial(t - 1)
-    return total
-
-
 def n0_threshold(d: int, t: int) -> int:
     """Order threshold 4dt + 3d^2 + 5t for the general pattern-count bound."""
     if d < 1 or t < 3:

@@ -176,11 +176,6 @@ def min_degree(g: Graph) -> int:
     return min(row.bit_count() for row in g.adj)
 
 
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
-
-
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Return ``g`` plus edge uv (identity if the edge already exists)."""
     _check_vertex(g, u)

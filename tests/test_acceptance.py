@@ -1,9 +1,10 @@
 """Acceptance criteria, one test per criterion, with a pass line and timing.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  Order 8 comes from the external corpus tests/data/graphs_n8.g6
-(regenerate with scripts/make_graphs8.py); everything smaller uses the
-internal generator.
+criterion.  Order 8 comes from the committed corpus tests/data/graphs_n8.g6
+(regenerate with ``nonham enum --n 8 > tests/data/graphs_n8.g6``), which
+spares the suite the generator's time at that order; everything smaller uses
+the internal generator.
 """
 
 import random

@@ -14,7 +14,6 @@ from nonham.counting import (
     count_cliques,
     count_labeled_embeddings,
     count_unlabeled,
-    embedding_census,
 )
 from nonham.enumeration import enumerate_nonisomorphic
 from nonham.families import build_H
@@ -114,9 +113,9 @@ def test_count_unlabeled():
     assert count_unlabeled(complete_graph(4), complete_graph(3)) == 4
     assert count_unlabeled(build_H(10, 2), complete_graph(3)) == 58
     assert count_unlabeled(cycle(5), path(3)) == 5
-    census = embedding_census(cycle(5), path(3))
-    assert census.labeled == 10 and census.pattern_automorphisms == 2
-    assert census.unlabeled == 5
+    assert count_labeled_embeddings(cycle(5), path(3)) == 10
+    assert automorphism_count(path(3)) == 2
+    assert EmbeddingCount(labeled=10, pattern_order=3, pattern_automorphisms=2).unlabeled == 5
     with pytest.raises(ValueError):
         EmbeddingCount(labeled=7, pattern_order=3, pattern_automorphisms=2)
 

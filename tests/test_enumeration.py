@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from nonham.enumeration import (
     enumerate_nonisomorphic,
     stream_graph6,
 )
-from nonham.graphs import Graph6Error, graph6_encode, min_degree, relabel
+from nonham.graphs import Graph6Error, graph6_encode, induced_subgraph, min_degree, relabel
 
 DATA8 = Path(__file__).parent / "data" / "graphs_n8.g6"
 
@@ -30,9 +32,32 @@ def test_counts_match_labeled_dedup_oracle():
 
 def test_out_of_range():
     with pytest.raises(ValueError):
-        list(enumerate_nonisomorphic(8))
+        list(enumerate_nonisomorphic(9))
     with pytest.raises(ValueError):
         list(enumerate_nonisomorphic(0))
+
+
+def test_ascending_graph6_order():
+    # `nonham enum` prints the generator's order, so this pins its bytes
+    for n in range(1, 8):
+        records = [graph6_encode(g) for g in enumerate_nonisomorphic(n)]
+        assert records == sorted(records)
+
+
+def test_corpus_parents_are_generated():
+    # orderly generation rests on this: the graph induced on vertices 0..n-2
+    # of a canonical graph is itself canonical
+    order7 = set(enumerate_nonisomorphic(7))
+    for g in stream_graph6(str(DATA8)):
+        assert induced_subgraph(g, range(7)) in order7, graph6_encode(g)
+
+
+def test_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nonham; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_pairwise_nonisomorphic_small():
@@ -44,7 +69,7 @@ def test_pairwise_nonisomorphic_small():
 
 
 def test_generator_yields_canonical_forms():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g in enumerate_nonisomorphic(n):
             assert canonical_form(g) == g
 
@@ -102,7 +127,7 @@ def test_stream_graph6(tmp_path):
 
 
 def test_order8_corpus():
-    assert DATA8.exists(), "run scripts/make_graphs8.py to regenerate"
+    assert DATA8.exists(), "regenerate with: nonham enum --n 8 > tests/data/graphs_n8.g6"
     records = DATA8.read_text().split()
     assert len(records) == 12346  # known class count on 8 vertices
     assert records == sorted(records)

@@ -11,7 +11,6 @@ from nonham.formulas import (
     h_k,
     n0_threshold,
     star_count_formula,
-    star_count_unlabeled,
 )
 
 
@@ -112,7 +111,6 @@ def test_star_count_formula():
     assert star_count_formula([2, 2, 2], 3) == 6  # triangle
     assert star_count_formula([3, 1, 1, 1], 3) == 6  # claw
     assert star_count_formula([0, 0], 2) == 0
-    assert star_count_unlabeled([3, 1, 1, 1], 3) == 3
     with pytest.raises(ValueError):
         star_count_formula([1], 1)
 

@@ -8,7 +8,6 @@ from nonham.graphs import (
     Graph6Error,
     add_edge,
     build_from_edges,
-    complement,
     complete_graph,
     degree,
     graph6_decode,
@@ -90,13 +89,6 @@ def test_independence_and_degree():
     assert degree(star, 0) == 3 and min_degree(star) == 1
     with pytest.raises(ValueError):
         degree(star, 9)
-
-
-def test_complement_involution():
-    rng = random.Random(3)
-    for _ in range(100):
-        g = random_graph(rng, rng.randrange(1, 12), rng.random())
-        assert complement(complement(g)) == g
 
 
 def test_add_edge_identity_on_existing():
