@@ -20,7 +20,12 @@ from typing import Iterator
 from nonham import formulas
 from nonham.classify import classify
 from nonham.counting import count_cliques, count_labeled_embeddings, count_unlabeled
-from nonham.enumeration import apply_filters, enumerate_nonisomorphic, stream_graph6
+from nonham.enumeration import (
+    apply_filters,
+    decode_graph6_lines,
+    enumerate_nonisomorphic,
+    stream_graph6,
+)
 from nonham.families import Family
 from nonham.graphs import Graph, Graph6Error, graph6_decode, graph6_encode
 from nonham.hamilton import (
@@ -43,16 +48,8 @@ def _default_workers() -> int:
 
 def _input_graphs(path: str | None) -> Iterator[Graph]:
     if path is None or path == "-":
-        for lineno, line in enumerate(sys.stdin, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield graph6_decode(line)
-            except Graph6Error as exc:
-                raise Graph6Error(f"<stdin>:{lineno}: {exc}") from exc
-    else:
-        yield from stream_graph6(path)
+        return decode_graph6_lines(sys.stdin, "<stdin>")
+    return stream_graph6(path)
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:

@@ -98,7 +98,9 @@ def count_cliques(g: Graph, k: int) -> int:
     return _cliques_cached(g, k)
 
 
-@lru_cache(maxsize=None)
+# Bounded like hamilton's cycle cache: 2**16 holds the n=8 corpus at
+# k = 2, 3 and 4 together.
+@lru_cache(maxsize=1 << 16)
 def _cliques_cached(g: Graph, k: int) -> int:
     adj = g.adj
 

@@ -136,20 +136,29 @@ def canonical_form(g: Graph) -> Graph:
     return relabel(g, perm)
 
 
+def decode_graph6_lines(lines: Iterable[str], source: str) -> Iterator[Graph]:
+    """Lazily decode graph6 lines, skipping blank ones.
+
+    A malformed line aborts the stream with ``source:lineno:`` in front of
+    the decoder's message.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            yield graph6_decode(line)
+        except Graph6Error as exc:
+            raise Graph6Error(f"{source}:{lineno}: {exc}") from exc
+
+
 def stream_graph6(path: str) -> Iterator[Graph]:
     """Lazily decode a newline-delimited graph6 file.
 
     A malformed line aborts the stream with its line number.
     """
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield graph6_decode(line)
-            except Graph6Error as exc:
-                raise Graph6Error(f"{path}:{lineno}: {exc}") from exc
+        yield from decode_graph6_lines(fh, path)
 
 
 def apply_filters(

@@ -207,7 +207,9 @@ def _search_cycle(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-@lru_cache(maxsize=None)
+# Bounded, so a long sweep keeps a fixed working set; 2**16 holds every
+# graph of the n=8 corpus, so repeated sweeps in one process stay warm.
+@lru_cache(maxsize=1 << 16)
 def _cycle_cached(g: Graph) -> tuple[int, ...] | None:
     return _search_cycle(g)
 

@@ -9,23 +9,32 @@ strict, non-strict bounds stay non-strict.
 Reports are deterministic: violations and witnesses are canonically sorted by
 graph6 string, and sharded runs merge into byte-identical reports (modulo the
 elapsed-time field) regardless of worker count.
+
+A sweep consumes its stream once and lazily; each graph is decoded once, by
+whoever produces the stream, and only the graphs that enter the report (the
+violations and witnesses) are encoded back to graph6.  One worker examines
+the caller's stream in place.  More workers receive it in chunks of
+``_CHUNK`` graphs, at most two chunks per worker in flight, so neither path
+holds the whole stream in memory; a stream that fits in one chunk runs in
+process.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable
+from itertools import chain, combinations, islice
+from typing import Iterable, Iterator
 
 from nonham.classify import _template_set, classify, is_isomorphic, match_template
 from nonham.counting import count_cliques
 from nonham.families import Family, build_H, build_Kprime
 from nonham.formulas import e_bound, h_k, star_count_formula
-from nonham.graphs import Graph, graph6_decode, graph6_encode, min_degree
+from nonham.graphs import Graph, graph6_encode, min_degree
 from nonham.hamilton import is_hamiltonian, is_saturated
 
 
@@ -193,15 +202,18 @@ _EXAMINERS = {
 }
 
 
-def _run_stripe(op: str, params: dict, records: list[str]) -> dict:
+# Graphs per task on the sharded path; a shorter stream runs in process.
+_CHUNK = 512
+
+
+def _run_stripe(op: str, params: dict, graphs: Iterable[Graph]) -> dict:
     examine = _EXAMINERS[op]
     checked = 0
     total = 0
     violations: set[tuple[str, str, str]] = set()
     witnesses: set[str] = set()
     tallies: dict[str, int] = {}
-    for record in records:
-        g = graph6_decode(record)
+    for g in graphs:
         if g.n != params["n"]:
             raise ValueError(
                 f"stream graph of order {g.n} in a sweep over order {params['n']}"
@@ -215,9 +227,9 @@ def _run_stripe(op: str, params: dict, records: list[str]) -> dict:
         for key, val in tally.items():
             tallies[key] = tallies.get(key, 0) + val
         if not ok:
-            violations.add((record, str(observed), str(bound)))
+            violations.add((graph6_encode(g), str(observed), str(bound)))
         elif is_witness:
-            witnesses.add(record)
+            witnesses.add(graph6_encode(g))
     return {
         "checked": checked,
         "total": total,
@@ -227,7 +239,7 @@ def _run_stripe(op: str, params: dict, records: list[str]) -> dict:
     }
 
 
-def _merge(parts: list[dict]) -> dict:
+def _merge(parts: Iterable[dict]) -> dict:
     merged = {
         "checked": 0,
         "total": 0,
@@ -245,20 +257,38 @@ def _merge(parts: list[dict]) -> dict:
     return merged
 
 
+def _sharded_parts(
+    op: str, params: dict, chunks: Iterable[list[Graph]], workers: int
+) -> Iterator[dict]:
+    """Stripe results of the chunks, at most ``2 * workers`` of them in flight.
+
+    ``pool.map`` would read every chunk up front, so each is submitted only
+    once a slot in the window is free.
+    """
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque()
+        for chunk in chunks:
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+            window.append(pool.submit(_run_stripe, op, params, chunk))
+        while window:
+            yield window.popleft().result()
+
+
 def _run_op(
     op: str, params: dict, stream: Iterable[Graph], workers: int, extra: dict | None = None
 ) -> VerificationReport:
     t0 = time.monotonic()
-    records = [graph6_encode(g) for g in stream]
-    if workers <= 1 or len(records) < 2 * workers:
-        merged = _run_stripe(op, params, records)
+    if workers <= 1:
+        merged = _run_stripe(op, params, stream)
     else:
-        stripes = [records[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_run_stripe, [op] * workers, [params] * workers, stripes)
-            )
-        merged = _merge(parts)
+        graphs = iter(stream)
+        chunks = iter(lambda: list(islice(graphs, _CHUNK)), [])
+        first = next(chunks, [])
+        if len(first) < _CHUNK:
+            merged = _run_stripe(op, params, first)
+        else:
+            merged = _merge(_sharded_parts(op, params, chain([first], chunks), workers))
     violations = [
         {"graph6": code, "observed": observed, "bound": bound}
         for code, observed, bound in sorted(merged["violations"])

@@ -180,3 +180,22 @@ def test_external_file_verify(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["violations"] == []
+
+
+def test_verify_malformed_line_exits_2(tmp_path):
+    # the stream is read lazily, so the bad line is met in the middle of the
+    # sweep; nothing reaches stdout and the message names the line
+    six = run_cli(["enum", "--n", "6"]).stdout.split()
+    text = "\n".join([six[0], six[1], "B", *six[2:]]) + "\n"
+    path = tmp_path / "bad.g6"
+    path.write_text(text, encoding="ascii")
+    for workers in ("1", "2"):
+        for source, stdin in ((str(path), ""), ("-", text)):
+            proc = run_cli([
+                "verify", "edge-bound", "--n", "6", "--d", "1",
+                "--in", source, "--workers", workers,
+            ], stdin=stdin)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            name = "<stdin>" if source == "-" else str(path)
+            assert proc.stderr.startswith(f"nonham: {name}:3: ")

@@ -1,12 +1,16 @@
 import json
+from itertools import cycle, islice
 
 import pytest
 
+from nonham import verify
 from nonham.classify import is_isomorphic, spanning_subgraph_of
+from nonham.counting import _cliques_cached
 from nonham.enumeration import enumerate_nonisomorphic
 from nonham.families import build_H
 from nonham.formulas import d0, e_bound
-from nonham.graphs import graph6_decode
+from nonham.graphs import graph6_decode, graph6_encode
+from nonham.hamilton import _cycle_cached
 from nonham.verify import (
     verify_clique_bound,
     verify_edge_bound,
@@ -200,16 +204,50 @@ def test_report_schema_and_determinism():
     assert parsed["theorem"] == "edge-bound"
 
 
-def test_shard_invariance_small():
-    reports = [
-        verify_clique_bound(6, 2, 3, stream(6), workers=w) for w in (1, 2, 4)
+def test_shard_invariance_small(monkeypatch):
+    sweeps = [
+        lambda w: verify_clique_bound(6, 2, 3, stream(6), workers=w),
+        # the 1044 graphs of order 7 span several chunks
+        lambda w: verify_star_claim(7, 2, 3, stream(7), workers=w),
+        lambda w: verify_saturation_lemmas(7, stream(7), workers=w),
     ]
-    dicts = []
-    for rep in reports:
-        d = rep.to_json_dict()
-        d.pop("elapsed_ms")
-        dicts.append(d)
-    assert dicts[0] == dicts[1] == dicts[2]
+    # at 50 graphs a chunk the window of 2 * workers chunks fills and drains
+    for chunk in (verify._CHUNK, 50):
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        for sweep in sweeps:
+            dicts = []
+            for rep in (sweep(w) for w in (1, 2, 4)):
+                d = rep.to_json_dict()
+                d.pop("elapsed_ms")
+                dicts.append(d)
+            assert dicts[0]["graphs_checked"] != "0"
+            assert dicts[0] == dicts[1] == dicts[2]
+
+
+def test_only_reported_graphs_are_encoded(monkeypatch):
+    calls = []
+
+    def counting_encode(g):
+        calls.append(g)
+        return graph6_encode(g)
+
+    monkeypatch.setattr(verify, "graph6_encode", counting_encode)
+    for sweep in (
+        lambda: verify_edge_bound(6, 1, stream(6)),
+        lambda: verify_star_claim(6, 1, 6, stream(6)),
+    ):
+        calls.clear()
+        report = sweep()
+        assert report.witnesses or report.violations
+        assert len(calls) == len(report.witnesses) + len(report.violations)
+
+
+def test_hot_caches_are_bounded():
+    # finite, and large enough for the n=8 corpus (12,346 graphs) at k = 2, 3, 4
+    for cached in (_cycle_cached, _cliques_cached):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None
+        assert maxsize >= 3 * 12346
 
 
 def test_parameter_validation():
@@ -224,5 +262,25 @@ def test_parameter_validation():
 
 
 def test_order_mismatch_rejected():
-    with pytest.raises(ValueError):
-        verify_edge_bound(6, 1, stream(5))
+    # one stray graph after more than a chunk of good ones, so at two workers
+    # the mismatch is found inside a pool worker
+    six = list(islice(cycle(stream(6)), verify._CHUNK + 1))
+    five = next(stream(5))
+    for workers in (1, 2):
+        with pytest.raises(ValueError):
+            verify_edge_bound(6, 1, stream(5), workers=workers)
+        with pytest.raises(ValueError, match="order 5"):
+            verify_edge_bound(6, 1, [*six, five], workers=workers)
+
+
+def test_order_mismatch_stops_the_stream():
+    class ReadTooFar(Exception):
+        pass
+
+    def graphs():
+        yield from stream(6)
+        yield next(stream(5))
+        raise ReadTooFar
+
+    with pytest.raises(ValueError, match="order 5"):
+        verify_edge_bound(6, 1, graphs(), workers=1)
