@@ -1,16 +1,25 @@
 """Hamiltonicity search, saturation closure, and degree-based certificates.
 
-The cycle/path engine is exact backtracking on bitmask adjacency rows.  Search
-is anchored at vertex 0 with a fixed orientation (second vertex below last) to
-halve the tree, and prunes on:
+One exact backtracking kernel on bitmask adjacency rows answers both cycle
+and u-v path queries.  It grows a path from a start vertex through a cover
+set and closes it at an anchor outside the unvisited set: a cycle starts and
+closes at vertex 0 and covers every vertex, with a fixed orientation (second
+vertex below last) to halve the tree; a u-v path starts at u, covers every
+vertex but v, and closes at v.  The kernel prunes on:
 
-* disconnection, a vertex of degree < 2, or forced edges at degree-2 vertices
-  closing a cycle shorter than n (preprocessing);
-* any unvisited vertex with fewer than two usable cycle anchors (unvisited
-  vertices, the current path end, or the closing anchor);
+* an anchor with no neighbor left among the unvisited vertices and the
+  current path end;
+* any unvisited vertex with fewer than two usable path neighbors (unvisited
+  vertices, the current path end, or the anchor);
+* twin-class capacity: unvisited members of a class of open twins need two
+  path edges each, a class of closed twins two in all, and only the class's
+  external neighborhood, the path end and the anchor can supply them;
 * interchangeable vertices: candidates with an unvisited lower-indexed twin
   (identical open or closed neighborhood) are skipped, which collapses the
   search inside large cliques and independent sets.
+
+Cycle queries first reject a vertex of degree < 2, disconnection, or forced
+edges at degree-2 vertices closing a cycle shorter than n.
 """
 
 from __future__ import annotations
@@ -67,31 +76,26 @@ def _connected(g: Graph) -> bool:
     return reach == (1 << g.n) - 1
 
 
-def _capacity_classes(g: Graph) -> list[tuple[int, int, bool]]:
+def _capacity_classes(g: Graph, twin: list[int]) -> list[tuple[int, int, bool]]:
     """Twin classes of size >= 2 as (members, external neighborhood, is_true).
 
-    Used for a capacity prune: unvisited members of a class need two cycle
+    Used for a capacity prune: unvisited members of a class need two path
     edges each (two total for a true-twin clique), and those edges can only
     land in the class's shared external neighborhood, the current path end,
-    or the closing anchor.
+    or the closing anchor.  A vertex has open twins or closed twins, never
+    both, so ``twin[v] | 1 << v`` is v's whole class.
     """
-    open_groups: dict[int, int] = {}
-    closed_groups: dict[int, int] = {}
-    for v, row in enumerate(g.adj):
-        open_groups[row] = open_groups.get(row, 0) | 1 << v
-        closed = row | 1 << v
-        closed_groups[closed] = closed_groups.get(closed, 0) | 1 << v
     out = []
-    for row, members in open_groups.items():
-        if members.bit_count() >= 2:
-            out.append((members, row, False))
-    for crow, members in closed_groups.items():
-        if members.bit_count() >= 2:
-            out.append((members, crow & ~members, True))
+    seen = 0
+    for v, row in enumerate(g.adj):
+        if twin[v] and not seen >> v & 1:
+            members = twin[v] | 1 << v
+            seen |= members
+            out.append((members, row & ~members, bool(row & twin[v])))
     return out
 
 
-def _forced_edge_scan(g: Graph) -> tuple[int, ...] | None | bool:
+def _forced_edge_scan(g: Graph) -> tuple[int, ...] | bool:
     """Resolve degree-2 forced edges.
 
     Returns a full cycle (tuple) if the forced edges already form one, False
@@ -146,12 +150,66 @@ def _walk_cycle(forced: list[int]) -> tuple[int, ...]:
     return tuple(cycle)
 
 
+def _extend_path(
+    g: Graph, start: int, anchor: int, cover: int, oriented: bool
+) -> list[int] | None:
+    """A path from ``start`` through every vertex of the mask ``cover`` whose
+    last vertex is adjacent to ``anchor``, or None.
+
+    ``anchor`` is never unvisited: it is ``start`` itself (cycles) or a vertex
+    outside ``cover`` (u-v paths).  With ``oriented``, the path must also have
+    its second vertex below its last, so each cycle is found in one direction.
+    """
+    adj = g.adj
+    twin = twin_masks(g)
+    classes = _capacity_classes(g, twin)
+    abit = 1 << anchor
+    path = [start]
+    try_order = sorted(range(g.n), key=lambda v: (adj[v].bit_count(), v))
+
+    def extend(cur: int, rem: int) -> bool:
+        here = 1 << cur
+        if not adj[anchor] & (rem | here):
+            return False
+        if not rem:
+            return not oriented or path[1] < path[-1]
+        for members, outside, is_true in classes:
+            unvisited = members & rem
+            if not unvisited:
+                continue
+            reach = outside | members if is_true else outside
+            need = 2 if is_true else 2 * unvisited.bit_count()
+            supply = 2 * (outside & rem).bit_count()
+            supply += (reach >> cur & 1) + (reach >> anchor & 1)
+            if need > supply:
+                return False
+        avail = rem | here | abit
+        m = rem
+        while m:
+            low = m & -m
+            m ^= low
+            if (adj[low.bit_length() - 1] & avail).bit_count() < 2:
+                return False
+        cand = adj[cur] & rem
+        for v in try_order:
+            if not cand >> v & 1:
+                continue
+            if twin[v] & rem & ((1 << v) - 1):
+                continue
+            path.append(v)
+            if extend(v, rem ^ 1 << v):
+                return True
+            path.pop()
+        return False
+
+    return path if extend(start, cover & ~(1 << start)) else None
+
+
 def _search_cycle(g: Graph) -> tuple[int, ...] | None:
     n = g.n
     if n < 3:
         return None
-    adj = g.adj
-    if any(row.bit_count() < 2 for row in adj):
+    if any(row.bit_count() < 2 for row in g.adj):
         return None
     if not _connected(g):
         return None
@@ -160,51 +218,8 @@ def _search_cycle(g: Graph) -> tuple[int, ...] | None:
         return None
     if pre is not True:
         return pre
-    twin = twin_masks(g)
-    classes = _capacity_classes(g)
-    full = (1 << n) - 1
-    path = [0]
-    try_order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
-
-    def extend(v: int, used: int) -> bool:
-        if used == full:
-            return bool(adj[v] & 1) and path[1] < path[-1]
-        rem = full & ~used
-        for members, outside, is_true in classes:
-            unvisited = members & rem
-            if not unvisited:
-                continue
-            reach = outside | members if is_true else outside
-            need = 2 if is_true else 2 * unvisited.bit_count()
-            supply = 2 * (outside & rem).bit_count()
-            if reach >> v & 1:
-                supply += 1
-            if reach & 1:
-                supply += 1
-            if need > supply:
-                return False
-        avail = rem | 1 << v | 1
-        m = rem
-        while m:
-            low = m & -m
-            m ^= low
-            if (adj[low.bit_length() - 1] & avail).bit_count() < 2:
-                return False
-        cand = adj[v] & rem
-        for u in try_order:
-            if not cand >> u & 1:
-                continue
-            if twin[u] & rem & ((1 << u) - 1):
-                continue
-            path.append(u)
-            if extend(u, used | 1 << u):
-                return True
-            path.pop()
-        return False
-
-    if extend(0, 1):
-        return tuple(path)
-    return None
+    path = _extend_path(g, 0, 0, (1 << n) - 1, oriented=True)
+    return None if path is None else tuple(path)
 
 
 # Bounded, so a long sweep keeps a fixed working set; 2**16 holds every
@@ -232,61 +247,10 @@ def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
     for w in (u, v):
         if not 0 <= w < g.n:
             raise ValueError(f"vertex {w} out of range")
-    n, adj = g.n, g.adj
-    if n == 2:
-        return [u, v] if g.has_edge(u, v) else None
     if not _connected(g):
         return None
-    twin = twin_masks(g)
-    classes = _capacity_classes(g)
-    full = (1 << n) - 1
-    vbit = 1 << v
-    path = [u]
-    try_order = sorted(range(n), key=lambda w: (adj[w].bit_count(), w))
-
-    def extend(cur: int, used: int) -> bool:
-        if used == full:
-            return cur == v
-        rem = full & ~used
-        avail = rem | 1 << cur
-        if rem & vbit and not adj[v] & ((rem ^ vbit) | 1 << cur):
-            return False
-        for members, outside, is_true in classes:
-            unvisited = members & rem & ~vbit
-            if not unvisited:
-                continue
-            reach = outside | members if is_true else outside
-            need = 2 if is_true else 2 * unvisited.bit_count()
-            supply = 2 * (outside & rem & ~vbit).bit_count()
-            if reach >> cur & 1:
-                supply += 1
-            if reach & rem & vbit:
-                supply += 1
-            if need > supply:
-                return False
-        m = rem & ~vbit
-        while m:
-            low = m & -m
-            m ^= low
-            if (adj[low.bit_length() - 1] & avail).bit_count() < 2:
-                return False
-        cand = adj[cur] & rem
-        if rem != vbit:
-            cand &= ~vbit
-        for w in try_order:
-            if not cand >> w & 1:
-                continue
-            if twin[w] & rem & ((1 << w) - 1) & ~vbit:
-                continue
-            path.append(w)
-            if extend(w, used | 1 << w):
-                return True
-            path.pop()
-        return False
-
-    if extend(u, 1 << u):
-        return list(path)
-    return None
+    path = _extend_path(g, u, v, ((1 << g.n) - 1) ^ 1 << v, oriented=False)
+    return None if path is None else path + [v]
 
 
 def saturate(g: Graph) -> Graph:
@@ -307,10 +271,14 @@ def saturate(g: Graph) -> Graph:
 
 
 def is_saturated(g: Graph) -> bool:
-    """Nonhamiltonian, and every nonedge addition creates a hamiltonian cycle."""
+    """Nonhamiltonian, and every nonedge addition creates a hamiltonian cycle.
+
+    Only ``g`` itself goes through the hamiltonicity cache; the one-off
+    ``g + uv`` probes do not.
+    """
     if is_hamiltonian(g):
         return False
-    return all(is_hamiltonian(add_edge(g, u, v)) for u, v in g.nonedges())
+    return all(_search_cycle(add_edge(g, u, v)) is not None for u, v in g.nonedges())
 
 
 def ore_check(g: Graph) -> list[tuple[int, int]]:
@@ -338,7 +306,8 @@ def path_partition(h: Graph, t: int) -> PathPartition | None:
     Adds a clique of t universal vertices, finds a hamiltonian cycle of the
     augmented graph, and deletes the clique.  Guaranteed to succeed whenever
     every nonedge xy of h satisfies d(x) + d(y) >= n(h) - t; returns None only
-    when the augmented graph has no hamiltonian cycle.
+    when the augmented graph has no hamiltonian cycle.  The augmented graph
+    is a one-off, so it bypasses the hamiltonicity cache.
     """
     if t < 1:
         raise ValueError("path_partition needs t >= 1")
@@ -351,7 +320,7 @@ def path_partition(h: Graph, t: int) -> PathPartition | None:
         rows[v] |= ((1 << t) - 1) << h.n
     for v in range(h.n, aug_n):
         rows[v] = full_aug ^ (1 << v)
-    cyc = find_hamiltonian_cycle(Graph(aug_n, tuple(rows)))
+    cyc = _search_cycle(Graph(aug_n, tuple(rows)))
     if cyc is None:
         return None
     first_added = next(i for i, v in enumerate(cyc) if v >= h.n)

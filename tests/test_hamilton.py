@@ -10,9 +10,10 @@ from helpers import (
 )
 from nonham.enumeration import enumerate_nonisomorphic
 from nonham.families import build_H
-from nonham.graphs import build_from_edges, complete_graph
+from nonham.graphs import build_from_edges, complete_graph, twin_masks
 from nonham.hamilton import (
     PathPartition,
+    _capacity_classes,
     _cycle_cached,
     find_hamiltonian_cycle,
     hamiltonian_path_between,
@@ -135,6 +136,67 @@ def dp_hamiltonian(g):
     return bool(ends[size - 1] & adj[0] & ~1)
 
 
+def dp_path_ends(g, u):
+    """Independent route: subset-DP over u-anchored path ends.
+
+    Returns the mask of vertices that end a hamiltonian path from u.
+    """
+    size = 1 << g.n
+    ends = [0] * size
+    ends[1 << u] = 1 << u
+    adj = g.adj
+    for mask in range(size):
+        e = ends[mask]
+        while e:
+            low = e & -e
+            e ^= low
+            nxts = adj[low.bit_length() - 1] & ~mask
+            while nxts:
+                lw = nxts & -nxts
+                ends[mask | lw] |= lw
+                nxts ^= lw
+    return ends[size - 1]
+
+
+def test_path_between_vs_subset_dp_exhaustive():
+    # every ordered pair (u, v) on every class of order 2..7: 49,368 cases
+    cases = 0
+    for n in range(2, 8):
+        for g in enumerate_nonisomorphic(n):
+            for u in range(n):
+                ends = dp_path_ends(g, u)
+                for v in range(n):
+                    if v == u:
+                        continue
+                    cases += 1
+                    got = hamiltonian_path_between(g, u, v)
+                    assert (got is not None) == bool(ends >> v & 1), (g, u, v)
+                    if got is not None:
+                        assert got[0] == u and got[-1] == v
+                        assert sorted(got) == list(range(n))
+                        assert all(g.has_edge(a, b) for a, b in zip(got, got[1:]))
+    assert cases == 49368
+
+
+def test_capacity_classes_are_the_twin_groups():
+    # the classes read off twin_masks are exactly the open and closed
+    # neighborhood groups of size >= 2
+    for n in range(1, 8):
+        for g in enumerate_nonisomorphic(n):
+            groups: dict[tuple[int, bool], int] = {}
+            for v, row in enumerate(g.adj):
+                groups[row, False] = groups.get((row, False), 0) | 1 << v
+                key = (row | 1 << v, True)
+                groups[key] = groups.get(key, 0) | 1 << v
+            want = {
+                (members, row & ~members, is_true)
+                for (row, is_true), members in groups.items()
+                if members.bit_count() >= 2
+            }
+            got = _capacity_classes(g, twin_masks(g))
+            assert len(got) == len(want) and set(got) == want, g
+
+
 def test_engine_vs_subset_dp_full_corpus():
     from helpers import REPO_GRAPHS8
     from nonham.enumeration import stream_graph6
@@ -173,7 +235,15 @@ def test_saturate_caches_only_its_input():
     before = _cycle_cached.cache_info().currsize
     s = saturate(g)
     assert _cycle_cached.cache_info().currsize - before <= 1
+    # is_saturated caches s itself, never its s + uv probes
+    before = _cycle_cached.cache_info().currsize
     assert is_saturated(s)
+    assert _cycle_cached.cache_info().currsize - before <= 1
+    # path_partition's augmented graph is a one-off and stays out
+    before = _cycle_cached.cache_info().currsize
+    for t in (1, 2, 3):
+        path_partition(g, t).validate(g)
+    assert _cycle_cached.cache_info().currsize == before
 
 
 def test_saturate_properties_order7():
