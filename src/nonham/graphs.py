@@ -9,6 +9,7 @@ accepts an iterable of vertex indices where a subset is expected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 MAX_ORDER = 64
@@ -41,26 +42,26 @@ class Graph:
     """Simple undirected graph: order ``n`` and per-vertex neighbor bitmasks.
 
     Instances are immutable values; "mutating" operations return new graphs.
-    Symmetry and loop-freeness are checked on every construction.
+    Symmetry and loop-freeness are checked on every construction: the rows
+    are packed into one int as a bit matrix, loops are one AND against its
+    diagonal, and symmetry is one comparison with its transpose.
     """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_ORDER:
-            raise ValueError(f"graph order {self.n} outside 1..{MAX_ORDER}")
-        if len(self.adj) != self.n:
+        n, adj = self.n, self.adj
+        if not 1 <= n <= MAX_ORDER:
+            raise ValueError(f"graph order {n} outside 1..{MAX_ORDER}")
+        if len(adj) != n:
             raise ValueError("adjacency row count does not match order")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"adjacency row {v} has bits beyond order {self.n}")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        if min(adj) >= 0 and max(adj) < 1 << n:
+            lane = _lane(n)
+            m = _pack(adj, lane)
+            if not m & _lane_masks(lane)[0] and _transpose(m, lane) == m:
+                return
+        _explain_bad_rows(n, adj)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -91,6 +92,71 @@ class Graph:
                 if not self.adj[u] >> v & 1:
                     out.append((u, v))
         return out
+
+
+def _explain_bad_rows(n: int, adj: tuple[int, ...]) -> None:
+    """Raise the first fault of rows that failed the packed checks, scanning
+    row by row so the message names the first offending row or pair."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"adjacency row {v} has bits beyond order {n}")
+        if row >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+        for u in bits(row):
+            if not adj[u] >> v & 1:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+
+# Bit matrices: row v of an order-n graph sits at bits v*lane .. v*lane+n-1 of
+# one int, where the lane is the smallest of 8, 16, 32, 64 that holds n bits,
+# so the rows convert to and from little-endian bytes of the lane's width.
+
+
+def _lane(n: int) -> int:
+    return max(8, 1 << (n - 1).bit_length())
+
+
+def _pack(rows: Iterable[int], lane: int) -> int:
+    if lane == 8:
+        return int.from_bytes(bytes(rows), "little")
+    width = lane // 8
+    return int.from_bytes(b"".join(row.to_bytes(width, "little") for row in rows), "little")
+
+
+def _unpack(m: int, n: int, lane: int) -> tuple[int, ...]:
+    width = lane // 8
+    raw = m.to_bytes(n * width, "little")
+    if width == 1:
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
+
+
+@lru_cache(maxsize=None)
+def _lane_masks(lane: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The diagonal of a lane x lane bit matrix, and the (shift, mask) delta
+    swaps that transpose it (Hacker's Delight, 2nd ed., section 7-3).
+
+    The swap for block size s exchanges bit s of the row and column indices:
+    its mask holds the entries (i, j) with bit s clear in i and set in j, and
+    each moves s*(lane-1) places up to (i+s, j-s).
+    """
+    diag = sum(1 << (v * lane + v) for v in range(lane))
+    swaps = []
+    s = lane >> 1
+    while s:
+        row = sum(1 << j for j in range(lane) if j & s)
+        mask = sum(row << (i * lane) for i in range(lane) if not i & s)
+        swaps.append((s * (lane - 1), mask))
+        s >>= 1
+    return diag, tuple(swaps)
+
+
+def _transpose(m: int, lane: int) -> int:
+    for shift, mask in _lane_masks(lane)[1]:
+        t = (m ^ m >> shift) & mask
+        m ^= t | t << shift
+    return m
 
 
 def twin_masks(g: Graph) -> list[int]:
@@ -238,6 +304,13 @@ def _payload_chars(n: int) -> int:
     return (n * (n - 1) // 2 + 5) // 6
 
 
+# Each payload byte, offset 63, with its six bits reversed: read last byte
+# first, they form one int whose bit k is bit k of the payload stream.
+_REVERSED_SIX = bytes(
+    int(f"{c - 63:06b}"[::-1], 2) if 63 <= c < 127 else 0 for c in range(256)
+)
+
+
 def graph6_decode(record: str | bytes) -> Graph:
     if isinstance(record, bytes):
         try:
@@ -249,44 +322,40 @@ def graph6_decode(record: str | bytes) -> Graph:
         record = record[len(">>graph6<<") :]
     if not record:
         raise Graph6Error("empty graph6 record")
-    vals = []
-    for ch in record:
-        code = ord(ch) - 63
-        if not 0 <= code <= 64:
-            raise Graph6Error(f"byte {ord(ch)} outside graph6 range")
-        vals.append(code)
-    if vals[0] <= 62:
-        n, body = vals[0], vals[1:]
+    if not ("?" <= min(record) and max(record) <= "\x7f"):
+        for ch in record:
+            if not 0 <= ord(ch) - 63 <= 64:
+                raise Graph6Error(f"byte {ord(ch)} outside graph6 range")
+    head = [ord(ch) - 63 for ch in record[:4]]
+    if head[0] <= 62:
+        n, body = head[0], record[1:]
         if n == 0:
             raise Graph6Error("graph6 order 0 not representable")
-    elif vals[0] == 64:
+    elif head[0] == 64:
         raise Graph6Error("malformed graph6 header byte")
-    elif len(vals) >= 2 and vals[1] in (63, 64) and len(vals) - 2 == _payload_chars(vals[1]):
-        n, body = vals[1], vals[2:]
-    elif len(vals) >= 4 and all(v <= 63 for v in vals[1:4]):
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        body = vals[4:]
+    elif len(head) >= 2 and head[1] in (63, 64) and len(record) - 2 == _payload_chars(head[1]):
+        n, body = head[1], record[2:]
+    elif len(head) >= 4 and all(v <= 63 for v in head[1:4]):
+        n = head[1] << 12 | head[2] << 6 | head[3]
+        body = record[4:]
     else:
         raise Graph6Error("malformed extended graph6 header")
     if n > MAX_ORDER:
         raise Graph6Error(f"graph6 order {n} exceeds supported maximum {MAX_ORDER}")
-    if any(v > 63 for v in body):
+    if "\x7f" in body:
         raise Graph6Error("malformed graph6 payload byte")
     need = _payload_chars(n)
     if len(body) != need:
         raise Graph6Error(f"graph6 payload length {len(body)}, expected {need}")
-    tri = []
-    for v in body:
-        for shift in range(5, -1, -1):
-            tri.append(v >> shift & 1)
-    rows = [0] * n
-    k = 0
+    stream = 0
+    for v in reversed(body.encode("ascii").translate(_REVERSED_SIX)):
+        stream = stream << 6 | v
+    # column j of the upper triangle is row j of the lower one
+    lane = _lane(n)
+    lower = 0
     for j in range(1, n):
-        for i in range(j):
-            if tri[k]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    if any(tri[k:]):
+        lower |= (stream & ((1 << j) - 1)) << (j * lane)
+        stream >>= j
+    if stream:
         raise Graph6Error("nonzero padding bits in graph6 payload")
-    return Graph(n, tuple(rows))
+    return Graph(n, _unpack(lower | _transpose(lower, lane), n, lane))

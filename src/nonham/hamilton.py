@@ -20,6 +20,13 @@ vertex but v, and closes at v.  The kernel prunes on:
 
 Cycle queries first reject a vertex of degree < 2, disconnection, or forced
 edges at degree-2 vertices closing a cycle shorter than n.
+
+Decisions try the Chvatal closure before any search (Bondy & Chvatal 1976:
+G is hamiltonian iff the graph obtained by repeatedly joining nonadjacent u,
+v with d(u) + d(v) >= n is).  A complete closure answers True at once; an
+incomplete one decides nothing, and the search answers.  Witnesses (cycles,
+paths, path partitions) come only from the search, so they do not depend on
+whether the closure decided.
 """
 
 from __future__ import annotations
@@ -205,6 +212,37 @@ def _extend_path(
     return path if extend(start, cover & ~(1 << start)) else None
 
 
+def _closure_complete(g: Graph) -> bool:
+    """True when the Chvatal closure of g is complete, which makes g
+    hamiltonian; False says nothing."""
+    n = g.n
+    if n < 3:
+        return False
+    rows = list(g.adj)
+    deg = [row.bit_count() for row in rows]
+    if min(deg) < 2:
+        return False
+    full = (1 << n) - 1
+    missing = n * (n - 1) // 2 - sum(deg) // 2
+    grew = True
+    while grew and missing:
+        grew = False
+        for u in range(n):
+            m = full ^ rows[u] ^ 1 << u
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                if deg[u] + deg[v] >= n:
+                    rows[u] |= low
+                    rows[v] |= 1 << u
+                    deg[u] += 1
+                    deg[v] += 1
+                    missing -= 1
+                    grew = True
+    return not missing
+
+
 def _search_cycle(g: Graph) -> tuple[int, ...] | None:
     n = g.n
     if n < 3:
@@ -230,8 +268,11 @@ def _cycle_cached(g: Graph) -> tuple[int, ...] | None:
 
 
 def is_hamiltonian(g: Graph) -> bool:
-    """Exact hamiltonicity decision (False for n < 3)."""
-    return _cycle_cached(g) is not None
+    """Exact hamiltonicity decision (False for n < 3).
+
+    A graph the closure decides never reaches the search or its cache.
+    """
+    return _closure_complete(g) or _cycle_cached(g) is not None
 
 
 def find_hamiltonian_cycle(g: Graph) -> list[int] | None:
@@ -253,6 +294,11 @@ def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
     return None if path is None else path + [v]
 
 
+def _decide_uncached(g: Graph) -> bool:
+    """``is_hamiltonian`` for one-off graphs, which stay out of the cache."""
+    return _closure_complete(g) or _search_cycle(g) is not None
+
+
 def saturate(g: Graph) -> Graph:
     """Close a nonhamiltonian graph under edge additions that keep it
     nonhamiltonian, probing nonedges in lexicographic order.
@@ -265,7 +311,7 @@ def saturate(g: Graph) -> Graph:
     cur = g
     for u, v in g.nonedges():
         candidate = add_edge(cur, u, v)
-        if _search_cycle(candidate) is None:
+        if not _decide_uncached(candidate):
             cur = candidate
     return cur
 
@@ -278,7 +324,7 @@ def is_saturated(g: Graph) -> bool:
     """
     if is_hamiltonian(g):
         return False
-    return all(_search_cycle(add_edge(g, u, v)) is not None for u, v in g.nonedges())
+    return all(_decide_uncached(add_edge(g, u, v)) for u, v in g.nonedges())
 
 
 def ore_check(g: Graph) -> list[tuple[int, int]]:

@@ -11,7 +11,7 @@ import random
 from itertools import combinations, permutations
 from pathlib import Path
 
-from nonham.graphs import Graph, build_from_edges
+from nonham.graphs import MAX_ORDER, Graph, bits, build_from_edges
 
 REPO_GRAPHS8 = str(Path(__file__).parent / "data" / "graphs_n8.g6")
 
@@ -34,6 +34,24 @@ def oracle_ham_path(g: Graph, u: int, v: int) -> bool:
         if all(g.has_edge(seq[i], seq[i + 1]) for i in range(g.n - 1)):
             return True
     return False
+
+
+def reference_check_rows(n: int, adj: tuple[int, ...]) -> None:
+    """The per-edge validation ``Graph`` ran before its rows were checked as
+    one packed bit matrix: raise ValueError with the first fault, or pass."""
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"graph order {n} outside 1..{MAX_ORDER}")
+    if len(adj) != n:
+        raise ValueError("adjacency row count does not match order")
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"adjacency row {v} has bits beyond order {n}")
+        if row >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+        for u in bits(row):
+            if not adj[u] >> v & 1:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
 
 def oracle_labeled_embeddings(g: Graph, f: Graph) -> int:

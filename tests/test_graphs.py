@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import all_labeled_graphs, hand_graph6, random_graph
+from helpers import all_labeled_graphs, hand_graph6, random_graph, reference_check_rows
 from nonham.graphs import (
     Graph,
     Graph6Error,
@@ -50,6 +50,51 @@ def test_adjacency_validation():
         Graph(2, (1, 2))  # loops
     with pytest.raises(ValueError):
         Graph(2, (4, 0))  # bit beyond order
+
+
+def outcome(check, n, adj):
+    try:
+        check(n, adj)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validation_matches_the_per_edge_reference():
+    # every lane edge of the packed check (8, 16, 32, 64 bits); flipping one
+    # bit of a graph makes a loop or an asymmetric pair
+    rng = random.Random(17)
+    cases = faults = 0
+    for n in (1, 2, 7, 8, 9, 16, 17, 32, 33, 63, 64):
+        for p in (0.0, 0.3, 0.7, 1.0):
+            adj = random_graph(rng, n, p).adj
+            variants = [adj]
+            positions = [(v, u) for v in range(n) for u in range(n)]
+            if n > 9:
+                positions = rng.sample(positions, 60)
+            for v, u in positions:
+                variants.append(adj[:v] + (adj[v] ^ 1 << u,) + adj[v + 1 :])
+            for _ in range(20):
+                rows = list(adj)
+                for _ in range(rng.randrange(2, 5)):
+                    rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+                variants.append(tuple(rows))
+                if n > 1:  # toggling uv in both rows keeps a graph
+                    u, v = rng.sample(range(n), 2)
+                    rows = list(adj)
+                    rows[u] ^= 1 << v
+                    rows[v] ^= 1 << u
+                    variants.append(tuple(rows))
+            for v in {0, n // 2, n - 1}:
+                # negative rows, and bits at and past the lane's edge
+                for bad in (-1, -(1 << n), ~adj[v], *(adj[v] | 1 << b for b in (n, 64, 100))):
+                    variants.append(adj[:v] + (bad,) + adj[v + 1 :])
+            for rows in variants:
+                want = outcome(reference_check_rows, n, rows)
+                assert outcome(Graph, n, rows) == want, (n, rows)
+                cases += 1
+                faults += want is not None
+    assert cases > faults > 0
 
 
 def test_complete_graph():

@@ -10,10 +10,11 @@ from helpers import (
 )
 from nonham.enumeration import enumerate_nonisomorphic
 from nonham.families import build_H
-from nonham.graphs import build_from_edges, complete_graph, twin_masks
+from nonham.graphs import build_from_edges, complete_graph, relabel, twin_masks
 from nonham.hamilton import (
     PathPartition,
     _capacity_classes,
+    _closure_complete,
     _cycle_cached,
     find_hamiltonian_cycle,
     hamiltonian_path_between,
@@ -203,6 +204,47 @@ def test_engine_vs_subset_dp_full_corpus():
 
     for g in stream_graph6(REPO_GRAPHS8):
         assert dp_hamiltonian(g) == is_hamiltonian(g), g
+
+
+def test_closure_complete_implies_hamiltonian():
+    # Bondy-Chvatal: a complete closure certifies a hamiltonian cycle
+    assert not _closure_complete(complete_graph(1))
+    assert not _closure_complete(complete_graph(2))
+    assert _closure_complete(complete_graph(3))
+    for n in range(3, 8):
+        for g in enumerate_nonisomorphic(n):
+            if _closure_complete(g):
+                assert dp_hamiltonian(g), g
+
+
+def test_closure_decides_most_hamiltonian_corpus_graphs():
+    from helpers import REPO_GRAPHS8
+    from nonham.enumeration import stream_graph6
+
+    closed = hamiltonian = 0
+    for g in stream_graph6(REPO_GRAPHS8):
+        ham = dp_hamiltonian(g)
+        closes = _closure_complete(g)
+        assert ham or not closes, g
+        hamiltonian += ham
+        closed += closes
+    assert (closed, hamiltonian) == (5540, 6196)
+
+
+def test_closure_decided_graph_skips_the_cache():
+    # K8 minus a perfect matching: every degree is 6, so the closure is
+    # complete and the search never runs for the decision
+    matching = {(0, 1), (2, 3), (4, 5), (6, 7)}
+    edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) not in matching]
+    g = relabel(build_from_edges(8, edges), [5, 2, 7, 0, 3, 6, 1, 4])
+    assert _closure_complete(g)
+    before = _cycle_cached.cache_info()
+    assert is_hamiltonian(g)
+    assert _cycle_cached.cache_info() == before
+    # the witness still comes from the search
+    cyc = find_hamiltonian_cycle(g)
+    assert sorted(cyc) == list(range(8))
+    assert all(g.has_edge(cyc[i], cyc[(i + 1) % 8]) for i in range(8))
 
 
 def test_saturate_fixed_point_on_H():
