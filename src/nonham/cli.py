@@ -26,7 +26,7 @@ from nonham.enumeration import (
     enumerate_nonisomorphic,
     stream_graph6,
 )
-from nonham.families import Family
+from nonham.families import FAMILY_TAGS, Family
 from nonham.graphs import Graph, Graph6Error, graph6_decode, graph6_encode
 from nonham.hamilton import (
     find_hamiltonian_cycle,
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="build a family member")
     p.add_argument("--family", required=True,
-                   choices=["h", "kprime", "hprime", "gprime2", "f3", "gprimed"])
+                   choices=FAMILY_TAGS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int)
     p.add_argument("--format", choices=["graph6", "json"], default="graph6")

@@ -6,6 +6,16 @@ violations (there should be none), extremal witnesses, and per-family tallies
 where applicable.  Hypothesis gating is literal: strict thresholds stay
 strict, non-strict bounds stay non-strict.
 
+The sweeps differ only in their entry of ``_EXAMINERS``, which builds an
+examiner from the sweep's parameters once per stripe, with its bounds and
+templates.  Three shapes cover the six theorems: a count held to a bound,
+attained only by given extremal graphs when these are named (``_at_most``);
+a K_k threshold past which the graph must fit a template, every fit checked
+(``_fits_above``); and the saturation lemmas (``_saturation``).  Every
+statement with a minimum degree d is about nonhamiltonian graphs with
+minimum degree >= d; ``_run_stripe`` applies that gate once, before the
+examiner sees the graph.
+
 Reports are deterministic: violations and witnesses are canonically sorted by
 graph6 string, and sharded runs merge into byte-identical reports (modulo the
 elapsed-time field) regardless of worker count.
@@ -26,11 +36,10 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, combinations, islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from nonham.classify import _template_set, classify, is_isomorphic, match_template
+from nonham.classify import _check_witness, _template_set, is_isomorphic, match_template
 from nonham.counting import count_cliques
 from nonham.families import Family, build_H, build_Kprime
 from nonham.formulas import e_bound, h_k, star_count_formula
@@ -71,80 +80,54 @@ def _half(n: int) -> int:
     return (n - 1) // 2
 
 
-# Examiners return None when a hypothesis fails, else
-# (ok, observed, bound, is_witness, tallies).
+def _clique_max(n: int, x: int, k: int) -> int:
+    return max(h_k(n, x, k), h_k(n, _half(n), k))
 
 
-def _examine_edge_bound(g: Graph, p: dict):
-    if min_degree(g) < p["d"] or is_hamiltonian(g):
-        return None
-    observed = g.edge_count()
-    bound = e_bound(p["n"], p["d"])
-    return observed <= bound, observed, bound, observed == bound, {}
+# An examiner sees each graph that passed the gate and returns None when a
+# further hypothesis fails, else (ok, observed, bound, is_witness, tallies).
 
 
-def _examine_clique_bound(g: Graph, p: dict):
-    if min_degree(g) < p["d"] or is_hamiltonian(g):
-        return None
-    n, d, k = p["n"], p["d"], p["k"]
-    observed = count_cliques(g, k)
-    bound = max(h_k(n, d, k), h_k(n, _half(n), k))
-    return observed <= bound, observed, bound, observed == bound, {}
+def _at_most(count: Callable[[Graph], int], bound: int, extremes: tuple[Graph, ...] = ()):
+    """count(g) <= bound; with extremes, equality only on a copy of one of them."""
+
+    def examine(g: Graph):
+        observed = count(g)
+        if observed != bound or not extremes:
+            return observed <= bound, observed, bound, observed == bound, {}
+        ok = any(is_isomorphic(g, x) for x in extremes)
+        return ok, observed, bound, ok, {"equality": 1}
+
+    return examine
 
 
-def _examine_stability(g: Graph, p: dict):
-    n, d, k = p["n"], p["d"], p["k"]
-    if min_degree(g) < d or is_hamiltonian(g):
-        return None
-    threshold = max(h_k(n, d + 2, k), h_k(n, _half(n), k))
-    observed = count_cliques(g, k)
-    if observed <= threshold:
-        return None
-    result = classify(g, d)
-    tallies = {fam.label(): 1 for fam in result.matched}
-    ok = bool(result.matched)
-    return ok, observed, threshold, ok, tallies
+def _fits_above(k: int, threshold: int, families: Iterable[Family]):
+    """A graph with more than threshold K_k's fits one of the templates."""
+    templates = [(fam, fam.build()) for fam in families]
+
+    def examine(g: Graph):
+        observed = count_cliques(g, k)
+        if observed <= threshold:
+            return None
+        tallies = {}
+        for fam, template in templates:
+            found = match_template(g, fam)
+            if found is not None:
+                _check_witness(g, template, found)
+                tallies[fam.label()] = 1
+        ok = bool(tallies)
+        return ok, observed, threshold, ok, tallies
+
+    return examine
 
 
-def _examine_prior_stability(g: Graph, p: dict):
-    n, d, k = p["n"], p["d"], p["k"]
-    if min_degree(g) < d or is_hamiltonian(g):
-        return None
-    threshold = max(h_k(n, d + 1, k), h_k(n, _half(n), k))
-    observed = count_cliques(g, k)
-    if observed <= threshold:
-        return None
-    tallies = {}
-    for fam in (Family("h", n, d), Family("kprime", n, d)):
-        if match_template(g, fam) is not None:
-            tallies[fam.label()] = 1
-    ok = bool(tallies)
-    return ok, observed, threshold, ok, tallies
+def _star(n: int, d: int, t: int):
+    extremes = (build_H(n, d), build_H(n, _half(n)))
 
+    def stars(g: Graph) -> int:
+        return star_count_formula(g.degrees(), t)
 
-@lru_cache(maxsize=16)
-def _star_extremes(n: int, d: int, t: int) -> tuple[int, Graph, Graph]:
-    """The star-count bound for (n, d, t) and the two graphs attaining it."""
-    low, high = build_H(n, d), build_H(n, _half(n))
-    bound = max(
-        star_count_formula(low.degrees(), t),
-        star_count_formula(high.degrees(), t),
-    )
-    return bound, low, high
-
-
-def _examine_star(g: Graph, p: dict):
-    n, d, t = p["n"], p["d"], p["t"]
-    if min_degree(g) < d or is_hamiltonian(g):
-        return None
-    observed = star_count_formula(g.degrees(), t)
-    bound, low, high = _star_extremes(n, d, t)
-    if observed > bound:
-        return False, observed, bound, False, {}
-    if observed < bound:
-        return True, observed, bound, False, {}
-    ok = is_isomorphic(g, low) or is_isomorphic(g, high)
-    return ok, observed, bound, ok, {"equality": 1}
+    return _at_most(stars, max(map(stars, extremes)), extremes)
 
 
 def _complete_complement_radii(g: Graph) -> list[int]:
@@ -171,34 +154,46 @@ def _cover_within(nonedges: list[tuple[int, int]], allowed: list[int], size: int
     return False
 
 
-def _examine_saturation(g: Graph, p: dict):
-    n = p["n"]
-    if not is_saturated(g):
-        return None
-    if not any(count_cliques(g, k) > h_k(n, _half(n), k) for k in (2, 3, 4)):
-        return None
-    radii = _complete_complement_radii(g)
-    if not radii:
-        return False, "no complete-complement set", "some r <= (n-1)/2", False, {}
-    delta = min_degree(g)
-    tallies = {f"r={radii[0]}": 1}
-    if radii[0] == delta:
-        ok = is_isomorphic(g, build_H(n, delta)) or is_isomorphic(
-            g, build_Kprime(n, delta)
-        )
-        if not ok:
-            return False, f"minimal r equals delta={delta}", "extremal template", False, tallies
-        tallies["extremal"] = 1
-    return True, f"r={radii[0]}", "", True, tallies
+def _saturation(n: int):
+    """Saturated graphs past some K_k threshold split as low-degree set + clique."""
+    thresholds = [(k, h_k(n, _half(n), k)) for k in (2, 3, 4)]
+
+    def examine(g: Graph):
+        if not is_saturated(g):
+            return None
+        if not any(count_cliques(g, k) > bound for k, bound in thresholds):
+            return None
+        radii = _complete_complement_radii(g)
+        if not radii:
+            return False, "no complete-complement set", "some r <= (n-1)/2", False, {}
+        delta = min_degree(g)
+        tallies = {f"r={radii[0]}": 1}
+        if radii[0] == delta:
+            ok = is_isomorphic(g, build_H(n, delta)) or is_isomorphic(
+                g, build_Kprime(n, delta)
+            )
+            if not ok:
+                return False, f"minimal r equals delta={delta}", "extremal template", False, tallies
+            tallies["extremal"] = 1
+        return True, f"r={radii[0]}", "", True, tallies
+
+    return examine
 
 
+# theorem -> examiner factory, whose parameters are the sweep's, in order.
 _EXAMINERS = {
-    "edge-bound": _examine_edge_bound,
-    "clique-bound": _examine_clique_bound,
-    "stability": _examine_stability,
-    "prior-stability": _examine_prior_stability,
-    "star": _examine_star,
-    "saturation": _examine_saturation,
+    "edge-bound": lambda n, d: _at_most(Graph.edge_count, e_bound(n, d)),
+    "clique-bound": lambda n, d, k: _at_most(
+        lambda g: count_cliques(g, k), _clique_max(n, d, k)
+    ),
+    "stability": lambda n, d, k: _fits_above(
+        k, _clique_max(n, d + 2, k), [f for f in _template_set(n, d) if f.is_valid()]
+    ),
+    "prior-stability": lambda n, d, k: _fits_above(
+        k, _clique_max(n, d + 1, k), [Family("h", n, d), Family("kprime", n, d)]
+    ),
+    "star": _star,
+    "saturation": _saturation,
 }
 
 
@@ -207,7 +202,8 @@ _CHUNK = 512
 
 
 def _run_stripe(op: str, params: dict, graphs: Iterable[Graph]) -> dict:
-    examine = _EXAMINERS[op]
+    examine = _EXAMINERS[op](**params)
+    d = params.get("d")
     checked = 0
     total = 0
     violations: set[tuple[str, str, str]] = set()
@@ -219,7 +215,9 @@ def _run_stripe(op: str, params: dict, graphs: Iterable[Graph]) -> dict:
                 f"stream graph of order {g.n} in a sweep over order {params['n']}"
             )
         total += 1
-        outcome = examine(g, params)
+        if d is not None and (min_degree(g) < d or is_hamiltonian(g)):
+            continue
+        outcome = examine(g)
         if outcome is None:
             continue
         checked += 1

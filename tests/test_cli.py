@@ -199,3 +199,20 @@ def test_verify_malformed_line_exits_2(tmp_path):
             assert proc.stdout == ""
             name = "<stdin>" if source == "-" else str(path)
             assert proc.stderr.startswith(f"nonham: {name}:3: ")
+
+
+def test_verify_table_matches_sweeps():
+    # cli._VERIFY restates each theorem's parameters; they must agree with the
+    # examiner table and with the public sweep's positional parameters
+    import inspect
+
+    from nonham import cli, verify
+
+    assert set(cli._VERIFY) == set(verify._EXAMINERS)
+    for theorem, (sweep, needs) in cli._VERIFY.items():
+        entry = list(inspect.signature(verify._EXAMINERS[theorem]).parameters)
+        assert entry[0] == "n"
+        assert tuple(entry[1:]) == needs, theorem
+        names = list(inspect.signature(sweep).parameters)
+        assert names[0] == "n"
+        assert tuple(names[1:names.index("stream")]) == needs, theorem

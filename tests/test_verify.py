@@ -8,7 +8,7 @@ from nonham.classify import is_isomorphic, spanning_subgraph_of
 from nonham.counting import _cliques_cached
 from nonham.enumeration import enumerate_nonisomorphic
 from nonham.families import build_H
-from nonham.formulas import d0, e_bound
+from nonham.formulas import d0, e_bound, h_k
 from nonham.graphs import graph6_decode, graph6_encode
 from nonham.hamilton import _cycle_cached
 from nonham.verify import (
@@ -61,8 +61,11 @@ def test_clique_bound_matches_edge_bound_at_k2():
             edge = verify_edge_bound(n, d, stream(n))
             clique = verify_clique_bound(n, d, 2, stream(n))
             assert clique.verified
-            assert clique.violations == edge.violations
-            assert clique.witnesses == edge.witnesses
+            a, b = edge.to_json_dict(), clique.to_json_dict()
+            for key in ("theorem", "params", "elapsed_ms"):
+                a.pop(key)
+                b.pop(key)
+            assert a == b
 
 
 def test_clique_bound_k3():
@@ -73,7 +76,6 @@ def test_clique_bound_k3():
 
 def test_clique_witnesses_revalidate():
     from nonham.counting import count_cliques
-    from nonham.formulas import h_k
 
     for n, d, k in [(6, 1, 3), (7, 2, 3), (7, 3, 4)]:
         report = verify_clique_bound(n, d, k, stream(n))
@@ -251,14 +253,49 @@ def test_hot_caches_are_bounded():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        verify_edge_bound(7, 0, stream(7))
-    with pytest.raises(ValueError):
-        verify_clique_bound(7, 2, 1, stream(7))
-    with pytest.raises(ValueError):
-        verify_star_claim(7, 2, 2, stream(7))
-    with pytest.raises(ValueError):
-        verify_star_claim(7, 2, 8, stream(7))
+    # each case breaks several checks where it can; the message names the first
+    cases = [
+        (lambda: verify_stability(2, 0, 1, stream(2)), "need n >= 3"),
+        (lambda: verify_prior_stability(2, 0, 1, stream(2)), "need n >= 3"),
+        (lambda: verify_saturation_lemmas(2, stream(2)), "need n >= 3"),
+        (lambda: verify_edge_bound(2, 1, stream(2)), "need 1 <= d <= 0"),
+        (lambda: verify_edge_bound(7, 0, stream(7)), "need 1 <= d <= 3"),
+        (lambda: verify_clique_bound(7, 0, 1, stream(7)), "need 1 <= d <= 3"),
+        (lambda: verify_clique_bound(7, 2, 1, stream(7)), "need k >= 2"),
+        (lambda: verify_stability(7, 2, 1, stream(7)), "need k >= 2"),
+        (lambda: verify_star_claim(7, 0, 2, stream(7)), "need 1 <= d <= 3"),
+        (lambda: verify_star_claim(7, 2, 2, stream(7)), "need 3 <= t <= n"),
+        (lambda: verify_star_claim(7, 2, 8, stream(7)), "need 3 <= t <= n"),
+    ]
+    for sweep, message in cases:
+        with pytest.raises(ValueError) as exc:
+            sweep()
+        assert str(exc.value) == message
+
+
+def test_spec_bounds_computed_once(monkeypatch):
+    from helpers import REPO_GRAPHS8
+    from nonham.enumeration import stream_graph6
+
+    calls = []
+
+    def counting_h_k(*args):
+        calls.append(args)
+        return h_k(*args)
+
+    monkeypatch.setattr(verify, "h_k", counting_h_k)
+    report = verify_clique_bound(8, 1, 3, stream_graph6(REPO_GRAPHS8))
+    assert report.graphs_checked > 0
+    assert len(calls) == 2
+
+
+def test_prior_stability_checks_template_witnesses(monkeypatch):
+    from helpers import REPO_GRAPHS8
+    from nonham.enumeration import stream_graph6
+
+    monkeypatch.setattr(verify, "match_template", lambda g, fam: [0] * g.n)
+    with pytest.raises(AssertionError):
+        verify_prior_stability(8, 1, 2, stream_graph6(REPO_GRAPHS8))
 
 
 def test_order_mismatch_rejected():
