@@ -5,7 +5,8 @@ carrying every edge of F to an edge of G (non-edges of F are unconstrained).
 The embedding search places pattern vertices in a greedy connected order and
 intersects neighbor bitmask rows for the candidate sets; isolated pattern
 vertices contribute a multiplicative falling-factorial tail instead of being
-searched.
+searched. In all three searches the last vertex is counted, not searched: its
+candidate set is one bitmask, and its size is one ``int.bit_count()``.
 """
 
 from __future__ import annotations
@@ -68,12 +69,11 @@ def count_labeled_embeddings(g: Graph, f: Graph) -> int:
     for i, v in enumerate(order):
         back.append([j for j in range(i) if f_core.has_edge(order[j], v)])
     images = [0] * len(order)
+    last = len(order) - 1
     full = (1 << g.n) - 1
     adj = g.adj
 
     def place(i: int, used: int) -> int:
-        if i == len(order):
-            return 1
         if back[i]:
             cand = adj[images[back[i][0]]]
             for j in back[i][1:]:
@@ -81,6 +81,8 @@ def count_labeled_embeddings(g: Graph, f: Graph) -> int:
             cand &= ~used
         else:
             cand = full & ~used
+        if i == last:
+            return cand.bit_count()
         total = 0
         for w in bits(cand):
             images[i] = w
@@ -105,19 +107,14 @@ def _cliques_cached(g: Graph, k: int) -> int:
     adj = g.adj
 
     def rec(cand: int, need: int) -> int:
-        if need == 0:
-            return 1
-        if cand.bit_count() < need:
-            return 0
+        if need == 1:
+            return cand.bit_count()
         total = 0
-        while cand:
+        while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
-            v = low.bit_length() - 1
-            if need == 1:
-                total += 1
-            else:
-                total += rec(adj[v] & cand, need - 1)
+            common = adj[low.bit_length() - 1] & cand
+            total += common.bit_count() if need == 2 else rec(common, need - 1)
         return total
 
     return rec((1 << g.n) - 1, k)
@@ -136,14 +133,14 @@ def automorphism_count(f: Graph) -> int:
     images = [0] * n
 
     def rec(i: int, used: int) -> int:
-        if i == n:
-            return 1
         cand = deg_mask[i] & ~used
         for j in range(i):
             if adj[i] >> j & 1:
                 cand &= adj[images[j]]
             else:
                 cand &= ~adj[images[j]]
+        if i == n - 1:
+            return cand.bit_count()
         total = 0
         for w in bits(cand):
             images[i] = w

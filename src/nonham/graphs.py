@@ -42,9 +42,10 @@ class Graph:
     """Simple undirected graph: order ``n`` and per-vertex neighbor bitmasks.
 
     Instances are immutable values; "mutating" operations return new graphs.
-    Symmetry and loop-freeness are checked on every construction: the rows
-    are packed into one int as a bit matrix, loops are one AND against its
-    diagonal, and symmetry is one comparison with its transpose.
+    Symmetry and loop-freeness are checked on every construction but graph6
+    decoding, whose rows hold by construction: the rows are packed into one
+    int as a bit matrix, loops are one AND against its diagonal, and symmetry
+    is one comparison with its transpose.
     """
 
     n: int
@@ -92,6 +93,15 @@ class Graph:
                 if not self.adj[u] >> v & 1:
                     out.append((u, v))
         return out
+
+
+def _unchecked_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph from rows that are symmetric, loop-free and within order ``n``
+    by construction, skipping the packed checks of ``Graph.__post_init__``."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
 
 
 def _explain_bad_rows(n: int, adj: tuple[int, ...]) -> None:
@@ -358,4 +368,5 @@ def graph6_decode(record: str | bytes) -> Graph:
         stream >>= j
     if stream:
         raise Graph6Error("nonzero padding bits in graph6 payload")
-    return Graph(n, _unpack(lower | _transpose(lower, lane), n, lane))
+    # a strict lower triangle plus its transpose: symmetric and loop-free
+    return _unchecked_graph(n, _unpack(lower | _transpose(lower, lane), n, lane))

@@ -15,7 +15,7 @@ from nonham.counting import (
     count_labeled_embeddings,
     count_unlabeled,
 )
-from nonham.enumeration import enumerate_nonisomorphic
+from nonham.enumeration import canonical_form, enumerate_nonisomorphic
 from nonham.families import build_H
 from nonham.formulas import falling_factorial, h_k, star_count_formula
 from nonham.graphs import build_from_edges, complete_graph, relabel
@@ -69,6 +69,17 @@ def test_embeddings_vs_oracle():
         for f in patterns:
             if f.n <= g.n:
                 assert count_labeled_embeddings(g, f) == oracle_labeled_embeddings(g, f)
+    # every pattern of order 5, disconnected cores such as 2K2 and K2+K3
+    # included: those place a vertex with no back-edge before the last one
+    five = enumerate_nonisomorphic(5)
+    two_k2 = build_from_edges(5, [(0, 1), (2, 3)])
+    k2_k3 = build_from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
+    assert {canonical_form(two_k2), canonical_form(k2_k3)} <= {canonical_form(f) for f in five}
+    for n in (6, 7, 8):
+        for p in (0.5, 0.8):
+            g = random_graph(rng, n, p)
+            for f in five:
+                assert count_labeled_embeddings(g, f) == oracle_labeled_embeddings(g, f), (g, f)
 
 
 def test_clique_counts():
@@ -82,6 +93,18 @@ def test_clique_counts():
             assert count_cliques(g, k) == oracle_count_cliques(g, k)
     with pytest.raises(ValueError):
         count_cliques(complete_graph(3), 0)
+    # the popcount exit (k = 1), the last k with a clique (the clique number
+    # omega), the first without one, and k beyond the order
+    for _ in range(12):
+        g = random_graph(rng, rng.randrange(9, 13), rng.choice([0.5, 0.7, 0.9]))
+        omega = max(k for k in range(1, g.n + 1) if oracle_count_cliques(g, k))
+        for k in (1, omega, omega + 1, g.n + 1):
+            assert count_cliques(g, k) == oracle_count_cliques(g, k), (g, k)
+    for n in (40, 64):
+        for d in (1, 2, 3):
+            g = build_H(n, d)
+            for k in range(2, 6):
+                assert count_cliques(g, k) == h_k(n, d, k), (n, d, k)
 
 
 def test_clique_embedding_consistency():
@@ -105,6 +128,9 @@ def test_automorphism_counts():
     for _ in range(40):
         g = random_graph(rng, rng.randrange(1, 7), rng.random())
         assert automorphism_count(g) == oracle_automorphisms(g)
+    for n in range(1, 7):
+        for g in enumerate_nonisomorphic(n):
+            assert automorphism_count(g) == oracle_automorphisms(g), g
     with pytest.raises(ValueError):
         automorphism_count(complete_graph(11))
 

@@ -233,6 +233,24 @@ def test_graph6_decode_fuzz_never_crashes():
         assert 1 <= g.n <= 64
 
 
+def test_graph6_decode_builds_valid_graphs():
+    # the decoder skips Graph's checks, so whatever it returns must pass them
+    rng = random.Random(10)
+    for n in (1, 2, 7, 8, 9, 16, 17, 32, 33, 63, 64):
+        head = chr(n + 63) if n <= 62 else chr(126) + chr(n + 63)
+        pairs = n * (n - 1) // 2
+        chars = (pairs + 5) // 6
+        for _ in range(50):
+            stream = rng.getrandbits(pairs) << (6 * chars - pairs)
+            body = "".join(
+                chr((stream >> shift & 63) + 63) for shift in range(6 * chars - 6, -1, -6)
+            )
+            g = graph6_decode(head + body)
+            assert g.n == n and all(type(row) is int for row in g.adj)
+            assert Graph(g.n, g.adj) == g
+            assert graph6_encode(g) == head + body
+
+
 def test_graph6_order_above_cap_rejected():
     nx = pytest.importorskip("networkx")
     h = nx.empty_graph(65)
