@@ -339,8 +339,6 @@ def graph6_decode(record: str | bytes) -> Graph:
     head = [ord(ch) - 63 for ch in record[:4]]
     if head[0] <= 62:
         n, body = head[0], record[1:]
-        if n == 0:
-            raise Graph6Error("graph6 order 0 not representable")
     elif head[0] == 64:
         raise Graph6Error("malformed graph6 header byte")
     elif len(head) >= 2 and head[1] in (63, 64) and len(record) - 2 == _payload_chars(head[1]):
@@ -350,6 +348,8 @@ def graph6_decode(record: str | bytes) -> Graph:
         body = record[4:]
     else:
         raise Graph6Error("malformed extended graph6 header")
+    if n == 0:
+        raise Graph6Error("graph6 order 0 not representable")
     if n > MAX_ORDER:
         raise Graph6Error(f"graph6 order {n} exceeds supported maximum {MAX_ORDER}")
     if "\x7f" in body:
