@@ -57,7 +57,6 @@ from nonham.hamilton import (
     saturate,
 )
 from nonham.counting import (
-    EmbeddingCount,
     automorphism_count,
     count_cliques,
     count_labeled_embeddings,

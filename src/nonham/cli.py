@@ -19,7 +19,7 @@ from typing import Iterator
 
 from nonham import formulas
 from nonham.classify import classify
-from nonham.counting import count_cliques, count_labeled_embeddings, count_unlabeled
+from nonham.counting import _unlabeled, automorphism_count, count_cliques, count_labeled_embeddings
 from nonham.enumeration import (
     apply_filters,
     decode_graph6_lines,
@@ -128,11 +128,15 @@ def _cmd_pathcover(args) -> int:
 def _cmd_count(args) -> int:
     with open(args.pattern, encoding="ascii") as fh:
         pattern = graph6_decode(fh.readline())
+    automorphisms = 0
     for g in _input_graphs(args.input):
+        count = count_labeled_embeddings(g, pattern)
         if args.unlabeled:
-            print(count_unlabeled(g, pattern))
-        else:
-            print(count_labeled_embeddings(g, pattern))
+            # once per run, after the first host: a pattern larger than the
+            # host is reported as such, and an empty stream costs nothing
+            automorphisms = automorphisms or automorphism_count(pattern)
+            count = _unlabeled(count, automorphisms)
+        print(count)
     return 0
 
 

@@ -3,43 +3,30 @@
 A labeled copy of a pattern F in a host G is an injection V(F) -> V(G)
 carrying every edge of F to an edge of G (non-edges of F are unconstrained).
 The embedding search places pattern vertices in a greedy connected order and
-intersects neighbor bitmask rows for the candidate sets; isolated pattern
-vertices contribute a multiplicative falling-factorial tail instead of being
-searched. In all three searches the last vertex is counted, not searched: its
-candidate set is one bitmask, and its size is one ``int.bit_count()``.
+intersects neighbor bitmask rows for the candidate sets, within the host
+vertices of at least the pattern vertex's degree; isolated pattern vertices
+come last in that order and contribute a multiplicative falling-factorial
+tail instead of being searched.  An automorphism of F is a labeled copy of F
+in itself, so ``automorphism_count`` runs the same search on (F, F).  In both
+searches of this module, for embeddings and for cliques, the last vertex is
+counted, not searched: its candidate set is one bitmask, and its size is one
+``int.bit_count()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from nonham.formulas import falling_factorial
-from nonham.graphs import Graph, bits, induced_subgraph
-
-
-@dataclass(frozen=True)
-class EmbeddingCount:
-    """Labeled embedding count together with the pattern's symmetry order."""
-
-    labeled: int
-    pattern_order: int
-    pattern_automorphisms: int
-
-    def __post_init__(self) -> None:
-        if self.labeled % self.pattern_automorphisms:
-            raise ValueError(
-                "labeled count not divisible by the automorphism count; "
-                "this signals a counting bug"
-            )
-
-    @property
-    def unlabeled(self) -> int:
-        return self.labeled // self.pattern_automorphisms
+from nonham.graphs import Graph, bits
 
 
 def _pattern_order(f: Graph) -> list[int]:
-    """Greedy connected ordering: maximize back-edges to placed vertices."""
+    """Greedy connected ordering: maximize back-edges to placed vertices.
+
+    Isolated vertices come last: any other vertex has at least as many
+    back-edges and a larger degree.
+    """
     degs = f.degrees()
     order: list[int] = []
     placed = 0
@@ -59,28 +46,24 @@ def count_labeled_embeddings(g: Graph, f: Graph) -> int:
     """Number of edge-preserving injections V(f) -> V(g)."""
     if f.n > g.n:
         raise ValueError("pattern larger than host")
-    core = [v for v in range(f.n) if f.adj[v]]
-    isolated = f.n - len(core)
+    f_degs = f.degrees()
+    core = sum(1 for dv in f_degs if dv)
+    tail = falling_factorial(g.n - core, f.n - core)
     if not core:
-        return falling_factorial(g.n, f.n)
-    f_core = f if isolated == 0 else induced_subgraph(f, core)
-    order = _pattern_order(f_core)
-    back: list[list[int]] = []
-    for i, v in enumerate(order):
-        back.append([j for j in range(i) if f_core.has_edge(order[j], v)])
-    images = [0] * len(order)
-    last = len(order) - 1
-    full = (1 << g.n) - 1
+        return tail
+    order = _pattern_order(f)[:core]
+    g_degs = g.degrees()
+    # room[i]: the host vertices of at least the degree of pattern vertex order[i]
+    room = [sum(1 << w for w, dw in enumerate(g_degs) if dw >= f_degs[v]) for v in order]
+    back = [[j for j in range(i) if f.adj[v] >> order[j] & 1] for i, v in enumerate(order)]
+    images = [0] * core
+    last = core - 1
     adj = g.adj
 
     def place(i: int, used: int) -> int:
-        if back[i]:
-            cand = adj[images[back[i][0]]]
-            for j in back[i][1:]:
-                cand &= adj[images[j]]
-            cand &= ~used
-        else:
-            cand = full & ~used
+        cand = room[i] & ~used
+        for j in back[i]:
+            cand &= adj[images[j]]
         if i == last:
             return cand.bit_count()
         total = 0
@@ -89,8 +72,7 @@ def count_labeled_embeddings(g: Graph, f: Graph) -> int:
             total += place(i + 1, used | 1 << w)
         return total
 
-    core_count = place(0, 0)
-    return core_count * falling_factorial(g.n - len(core), isolated)
+    return place(0, 0) * tail
 
 
 def count_cliques(g: Graph, k: int) -> int:
@@ -121,39 +103,26 @@ def _cliques_cached(g: Graph, k: int) -> int:
 
 
 def automorphism_count(f: Graph) -> int:
-    """Number of adjacency-preserving permutations of V(f); exact scan."""
+    """Number of adjacency-preserving permutations of V(f).
+
+    An edge-preserving injection of f into itself is a bijection carrying
+    E(f) into, hence onto, E(f): an automorphism.
+    """
     if f.n > 10:
         raise ValueError("automorphism scan supports patterns on <= 10 vertices")
-    n = f.n
-    adj = f.adj
-    degs = f.degrees()
-    deg_mask = [0] * n
-    for v in range(n):
-        deg_mask[v] = sum(1 << w for w in range(n) if degs[w] == degs[v])
-    images = [0] * n
+    return count_labeled_embeddings(f, f)
 
-    def rec(i: int, used: int) -> int:
-        cand = deg_mask[i] & ~used
-        for j in range(i):
-            if adj[i] >> j & 1:
-                cand &= adj[images[j]]
-            else:
-                cand &= ~adj[images[j]]
-        if i == n - 1:
-            return cand.bit_count()
-        total = 0
-        for w in bits(cand):
-            images[i] = w
-            total += rec(i + 1, used | 1 << w)
-        return total
 
-    return rec(0, 0)
+def _unlabeled(labeled: int, automorphisms: int) -> int:
+    """Unlabeled copies from a labeled count and the pattern's |Aut|."""
+    if labeled % automorphisms:
+        raise ValueError(
+            "labeled count not divisible by the automorphism count; "
+            "this signals a counting bug"
+        )
+    return labeled // automorphisms
 
 
 def count_unlabeled(g: Graph, f: Graph) -> int:
     """Unlabeled copies of f in g: labeled count over |Aut(f)|, exact."""
-    return EmbeddingCount(
-        labeled=count_labeled_embeddings(g, f),
-        pattern_order=f.n,
-        pattern_automorphisms=automorphism_count(f),
-    ).unlabeled
+    return _unlabeled(count_labeled_embeddings(g, f), automorphism_count(f))

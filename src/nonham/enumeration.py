@@ -1,9 +1,9 @@
 """Isomorph-free graph streams for exhaustive sweeps.
 
-A graph's code is its adjacency bit-string (upper triangle in graph6 stream
-order, first bit most significant); its canonical form is the relabeling with
-the lexicographically smallest code, found by one branch-and-bound search
-(``_min_code_perm``).
+A graph's code is its adjacency bit-string (``graphs._triangle_code``: the
+upper triangle in graph6 stream order, first bit most significant); its
+canonical form is the relabeling with the lexicographically smallest code,
+found by one branch-and-bound search (``_min_code_perm``).
 
 The internal generator covers 1 <= n <= 8 by Read's orderly algorithm
 (R. C. Read, "Every one a winner", Ann. Discrete Math. 2, 1978; B. D. McKay,
@@ -21,19 +21,18 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from nonham.graphs import Graph, Graph6Error, graph6_decode, min_degree, relabel, twin_masks
+from nonham.graphs import (
+    Graph,
+    Graph6Error,
+    _triangle_code,
+    graph6_decode,
+    min_degree,
+    relabel,
+    twin_masks,
+)
 from nonham.hamilton import is_hamiltonian
 
 INTERNAL_MAX_ORDER = 8
-
-
-def _code_of(g: Graph) -> int:
-    """Adjacency bit-string as an int, first stream bit most significant."""
-    code = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            code = code << 1 | (g.adj[j] >> i & 1)
-    return code
 
 
 @lru_cache(maxsize=None)
@@ -47,9 +46,9 @@ def _canonical_graphs(n: int) -> tuple[Graph, ...]:
         for nbhd in range(new_bit):
             rows = [row | new_bit if nbhd >> v & 1 else row for v, row in enumerate(parent.adj)]
             child = Graph(n, (*rows, nbhd))
-            if _min_code_perm(child, stop_below_own=True)[0] == _code_of(child):
+            if _min_code_perm(child, stop_below_own=True)[0] == _triangle_code(child):
                 children.append(child)
-    children.sort(key=_code_of)
+    children.sort(key=_triangle_code)
     return tuple(children)
 
 
@@ -83,7 +82,7 @@ def _min_code_perm(g: Graph, stop_below_own: bool = False) -> tuple[int, list[in
         return 0, [0]
     m = n * (n - 1) // 2
     twin = twin_masks(g)
-    best = _code_of(g)
+    best = _triangle_code(g)
     best_order = list(range(n))
     placed: list[int] = []
 

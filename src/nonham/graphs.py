@@ -284,13 +284,17 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
 # MSB-first into 6-bit groups offset by 63, zero-padded to a full group.
 
 
-def _triangle_bits(g: Graph) -> list[int]:
-    out = []
+def _triangle_code(g: Graph) -> int:
+    """The strict upper triangle column by column as an int, first bit most significant.
+
+    This bit order is the graph6 payload and the code canonical forms minimize.
+    """
+    code = 0
     for j in range(1, g.n):
         col = g.adj[j]
         for i in range(j):
-            out.append(col >> i & 1)
-    return out
+            code = code << 1 | (col >> i & 1)
+    return code
 
 
 def graph6_encode(g: Graph) -> str:
@@ -298,16 +302,9 @@ def graph6_encode(g: Graph) -> str:
         head = chr(g.n + 63)
     else:
         head = chr(126) + chr(g.n + 63)
-    tri = _triangle_bits(g)
-    while len(tri) % 6:
-        tri.append(0)
-    chars = []
-    for k in range(0, len(tri), 6):
-        group = 0
-        for b in tri[k : k + 6]:
-            group = group << 1 | b
-        chars.append(chr(group + 63))
-    return head + "".join(chars)
+    chars = _payload_chars(g.n)
+    code = _triangle_code(g) << (6 * chars - g.n * (g.n - 1) // 2)
+    return head + "".join(chr((code >> 6 * k & 63) + 63) for k in range(chars - 1, -1, -1))
 
 
 def _payload_chars(n: int) -> int:

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from nonham import cli, counting
 from nonham.cli import main
 from nonham.families import build_H
 from nonham.graphs import graph6_decode, graph6_encode
@@ -74,6 +75,36 @@ def test_count_with_pattern_file(tmp_path, capsys):
         ["count", "--pattern", str(pattern), "--unlabeled"], stdin=host + "\n"
     )
     assert proc.stdout.strip() == "58"
+
+
+def test_count_unlabeled_automorphisms_once_per_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = counting.automorphism_count
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+
+    # the CLI may look the name up in either module
+    for mod in (counting, cli):
+        monkeypatch.setattr(mod, "automorphism_count", spy, raising=False)
+    k3 = tmp_path / "k3.g6"
+    k3.write_text("Bw\n", encoding="ascii")
+    hosts = tmp_path / "hosts.g6"
+    hosts.write_text("".join(graph6_encode(build_H(n, 2)) + "\n" for n in (8, 9, 10)))
+    assert main(["count", "--pattern", str(k3), "--unlabeled", "--in", str(hosts)]) == 0
+    assert capsys.readouterr().out.split() == ["22", "37", "58"]
+    assert len(calls) == 1
+    # the host order is checked first, and an empty stream asks for nothing
+    order11 = tmp_path / "h11.g6"
+    order11.write_text(graph6_encode(build_H(11, 1)) + "\n", encoding="ascii")
+    assert main(["count", "--pattern", str(order11), "--unlabeled", "--in", str(hosts)]) == 2
+    assert "pattern larger than host" in capsys.readouterr().err
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    assert main(["count", "--pattern", str(order11), "--unlabeled", "--in", str(empty)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert len(calls) == 1
 
 
 def test_ham_cycle_and_path():

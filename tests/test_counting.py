@@ -1,21 +1,24 @@
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from helpers import (
+    REPO_GRAPHS8,
     oracle_automorphisms,
     oracle_count_cliques,
     oracle_labeled_embeddings,
     random_graph,
 )
+from nonham import counting
 from nonham.counting import (
-    EmbeddingCount,
     automorphism_count,
     count_cliques,
     count_labeled_embeddings,
     count_unlabeled,
 )
-from nonham.enumeration import canonical_form, enumerate_nonisomorphic
+from nonham.enumeration import canonical_form, enumerate_nonisomorphic, stream_graph6
 from nonham.families import build_H
 from nonham.formulas import falling_factorial, h_k, star_count_formula
 from nonham.graphs import build_from_edges, complete_graph, relabel
@@ -80,6 +83,22 @@ def test_embeddings_vs_oracle():
             g = random_graph(rng, n, p)
             for f in five:
                 assert count_labeled_embeddings(g, f) == oracle_labeled_embeddings(g, f), (g, f)
+    # a pattern vertex of higher degree than every host vertex has no image;
+    # isolated pattern vertices mixed with core ones take the falling-factorial tail
+    wide = [star(6), build_from_edges(6, [(0, i) for i in range(1, 5)])]
+    mixed = [
+        build_from_edges(6, [(1, 4), (4, 5)]),
+        build_from_edges(6, [(0, 5), (2, 3), (3, 4), (2, 4)]),
+        build_from_edges(7, [(6, 1), (6, 3), (6, 5), (1, 3)]),
+    ]
+    for f in wide:
+        assert count_labeled_embeddings(cycle(7), f) == 0 == oracle_labeled_embeddings(cycle(7), f)
+    max_deg_4 = build_from_edges(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3), (0, 5)])
+    assert count_labeled_embeddings(max_deg_4, star(6)) == 0
+    hosts = [cycle(7), max_deg_4, random_graph(rng, 7, 0.3), random_graph(rng, 7, 0.6)]
+    for host in hosts:
+        for f in wide + mixed:
+            assert count_labeled_embeddings(host, f) == oracle_labeled_embeddings(host, f), (host, f)
 
 
 def test_clique_counts():
@@ -131,19 +150,35 @@ def test_automorphism_counts():
     for n in range(1, 7):
         for g in enumerate_nonisomorphic(n):
             assert automorphism_count(g) == oracle_automorphisms(g), g
+    # orbit-stabilizer over one graph per class: sum n!/|Aut| = 2^C(n,2)
+    for n, classes in ((7, enumerate_nonisomorphic(7)), (8, stream_graph6(REPO_GRAPHS8))):
+        labelings = sum(Fraction(factorial(n), automorphism_count(g)) for g in classes)
+        assert labelings == 2 ** (n * (n - 1) // 2), n
+    # order 10, the cap: 5K2, Petersen, C10 and the edgeless graph
+    petersen = build_from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+    assert automorphism_count(build_from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)])) == 3840
+    assert automorphism_count(petersen) == 120
+    assert automorphism_count(cycle(10)) == 20
+    assert automorphism_count(build_from_edges(10, [])) == factorial(10)
     with pytest.raises(ValueError):
         automorphism_count(complete_graph(11))
 
 
-def test_count_unlabeled():
+def test_count_unlabeled(monkeypatch):
     assert count_unlabeled(complete_graph(4), complete_graph(3)) == 4
     assert count_unlabeled(build_H(10, 2), complete_graph(3)) == 58
     assert count_unlabeled(cycle(5), path(3)) == 5
     assert count_labeled_embeddings(cycle(5), path(3)) == 10
     assert automorphism_count(path(3)) == 2
-    assert EmbeddingCount(labeled=10, pattern_order=3, pattern_automorphisms=2).unlabeled == 5
-    with pytest.raises(ValueError):
-        EmbeddingCount(labeled=7, pattern_order=3, pattern_automorphisms=2)
+    # a labeled count that |Aut| does not divide is reported, not rounded
+    monkeypatch.setattr(counting, "automorphism_count", lambda f: 4)
+    with pytest.raises(ValueError, match="not divisible"):
+        count_unlabeled(cycle(5), path(3))
 
 
 def test_star_consistency():
