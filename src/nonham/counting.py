@@ -6,7 +6,9 @@ The embedding search places pattern vertices in a greedy connected order and
 intersects neighbor bitmask rows for the candidate sets, within the host
 vertices of at least the pattern vertex's degree; isolated pattern vertices
 come last in that order and contribute a multiplicative falling-factorial
-tail instead of being searched.  An automorphism of F is a labeled copy of F
+tail instead of being searched.  A pattern whose non-isolated vertices form
+a clique K_c is not searched at all: each c-clique of the host carries c!
+labelled copies of it.  An automorphism of F is a labeled copy of F
 in itself, so ``automorphism_count`` runs the same search on (F, F).  In both
 searches of this module, for embeddings and for cliques, the last vertex is
 counted, not searched: its candidate set is one bitmask, and its size is one
@@ -15,7 +17,7 @@ counted, not searched: its candidate set is one bitmask, and its size is one
 
 from __future__ import annotations
 
-from functools import lru_cache
+from math import factorial
 
 from nonham.formulas import falling_factorial
 from nonham.graphs import Graph, bits
@@ -46,11 +48,19 @@ def count_labeled_embeddings(g: Graph, f: Graph) -> int:
     """Number of edge-preserving injections V(f) -> V(g)."""
     if f.n > g.n:
         raise ValueError("pattern larger than host")
-    f_degs = f.degrees()
-    core = sum(1 for dv in f_degs if dv)
+    core = sum(1 for row in f.adj if row)
     tail = falling_factorial(g.n - core, f.n - core)
     if not core:
         return tail
+    if all(row.bit_count() in (0, core - 1) for row in f.adj):
+        # the non-isolated vertices form a clique: its copies in any order
+        return factorial(core) * count_cliques(g, core) * tail
+    return _search_core_copies(g, f, core) * tail
+
+
+def _search_core_copies(g: Graph, f: Graph, core: int) -> int:
+    """Labelled copies in g of f's ``core`` non-isolated vertices, by search."""
+    f_degs = f.degrees()
     order = _pattern_order(f)[:core]
     g_degs = g.degrees()
     # room[i]: the host vertices of at least the degree of pattern vertex order[i]
@@ -72,20 +82,13 @@ def count_labeled_embeddings(g: Graph, f: Graph) -> int:
             total += place(i + 1, used | 1 << w)
         return total
 
-    return place(0, 0) * tail
+    return place(0, 0)
 
 
 def count_cliques(g: Graph, k: int) -> int:
     """Number of k-vertex subsets inducing complete subgraphs."""
     if k < 1:
         raise ValueError("count_cliques needs k >= 1")
-    return _cliques_cached(g, k)
-
-
-# Bounded like hamilton's cycle cache: 2**16 holds the n=8 corpus at
-# k = 2, 3 and 4 together.
-@lru_cache(maxsize=1 << 16)
-def _cliques_cached(g: Graph, k: int) -> int:
     adj = g.adj
 
     def rec(cand: int, need: int) -> int:

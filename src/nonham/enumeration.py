@@ -2,8 +2,18 @@
 
 A graph's code is its adjacency bit-string (``graphs._triangle_code``: the
 upper triangle in graph6 stream order, first bit most significant); its
-canonical form is the relabeling with the lexicographically smallest code,
-found by one branch-and-bound search (``_min_code_perm``).
+canonical form is the relabeling with the lexicographically smallest code.
+
+One branch-and-bound search (``_min_code_perm``) finds it.  The code is
+column by column, so a placement order fixes it prefix by prefix: placing a
+vertex at position k appends its column, its adjacency to the k vertices
+already placed.  The unplaced vertices are kept as an ordered partition of
+bitmask cells, one per column value, in ascending column order; placing a
+vertex splits every cell in two by adjacency to it, so each search node costs
+a few mask operations per cell, and trying candidates cell by cell meets them
+in ascending (column, vertex) order.  A branch whose prefix exceeds the best
+code's is cut, and of interchangeable vertices (twins) only the lowest
+unplaced one is tried.
 
 The internal generator covers 1 <= n <= 8 by Read's orderly algorithm
 (R. C. Read, "Every one a winner", Ann. Discrete Math. 2, 1978; B. D. McKay,
@@ -12,8 +22,9 @@ C(n-1, 2) bits of a code are the code of the graph induced on vertices
 0..n-2, so the parent of a canonical graph is canonical.  Every canonical
 graph on n vertices therefore arises exactly once by giving the new vertex
 n-1 each possible neighborhood in each canonical (n-1)-graph and keeping the
-children that are their own canonical form.  Larger orders come from
-external graph6 files.
+children that are their own canonical form.  A child's code is its parent's
+code followed by the new column, so it is built, not recomputed.  Larger
+orders come from external graph6 files.
 """
 
 from __future__ import annotations
@@ -43,13 +54,16 @@ def _canonical_graphs(n: int) -> tuple[Graph, ...]:
     new_bit = 1 << (n - 1)
     children = []
     for parent in _canonical_graphs(n - 1):
+        parent_code = _triangle_code(parent) << (n - 1)
         for nbhd in range(new_bit):
             rows = [row | new_bit if nbhd >> v & 1 else row for v, row in enumerate(parent.adj)]
             child = Graph(n, (*rows, nbhd))
-            if _min_code_perm(child, stop_below_own=True)[0] == _triangle_code(child):
-                children.append(child)
-    children.sort(key=_triangle_code)
-    return tuple(children)
+            # the new column lists vertex 0 first, so it is nbhd bit-reversed
+            code = parent_code | int(f"{nbhd:0{n - 1}b}"[::-1], 2)
+            if _min_code_perm(child, own=code)[0] == code:
+                children.append((code, child))
+    children.sort()
+    return tuple(child for _, child in children)
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
@@ -66,59 +80,83 @@ def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
     yield from _canonical_graphs(n)
 
 
-def _min_code_perm(g: Graph, stop_below_own: bool = False) -> tuple[int, list[int]]:
+def _min_code_perm(g: Graph, own: int | None = None) -> tuple[int, list[int]]:
     """Minimal code over relabelings and a relabeling achieving it.
 
-    Branch and bound over placement orders: a partial placement determines a
-    prefix of the bit stream, so any branch whose prefix exceeds the best
-    known code is cut.  Interchangeable unplaced vertices (equal open or
-    closed neighborhoods) are tried once per level.
+    Branch and bound over placement orders.  Placing vertex w at position k
+    appends k bits to the code: w's column, its adjacency to the k placed
+    vertices.  The unplaced vertices are kept as an ordered partition, a list
+    of ``(col, mask)`` cells in ascending ``col``; placing w splits each cell
+    by adjacency to w into ``(col << 1, ...)`` and ``(col << 1 | 1, ...)``,
+    which keeps the order.  Candidates are tried cell by cell, ascending
+    vertex inside a cell, and the first cell whose extended prefix exceeds
+    the best code's prefix ends the level.  A child whose first cell already
+    fails that test is not entered.  Of interchangeable unplaced vertices
+    (equal open or closed neighborhoods) only the lowest is tried.
 
-    With ``stop_below_own`` the search stops at the first code below g's own,
-    so the code returned equals g's own exactly when g is canonical.
+    With ``own``, g's own code, the search stops at the first code below it,
+    so the code returned equals ``own`` exactly when g is canonical.
     """
     n, adj = g.n, g.adj
     if n == 1:
         return 0, [0]
     m = n * (n - 1) // 2
-    twin = twin_masks(g)
-    best = _triangle_code(g)
+    # lower[w]: w's twins below it; w is tried only once they are all placed
+    lower = [twin & ((1 << w) - 1) for w, twin in enumerate(twin_masks(g))]
+    stop = own is not None
+    best = _triangle_code(g) if own is None else own
     best_order = list(range(n))
     placed: list[int] = []
 
-    def dfs(used: int, prefix: int, filled: int) -> bool:
+    def dfs(cells: list[tuple[int, int]], used: int, prefix: int, filled: int) -> bool:
         """Search the completions of ``placed``; True stops the whole search."""
         nonlocal best, best_order
         k = len(placed)
-        if k == n:
-            if prefix < best:
-                best = prefix
-                best_order = placed.copy()
-                return stop_below_own
+        if k == n - 1:
+            # one vertex is left, and its column completes the code
+            ((col, last),) = cells
+            code = prefix << k | col
+            if code < best:
+                best = code
+                best_order = [*placed, last.bit_length() - 1]
+                return stop
             return False
-        cands = []
-        for w in range(n):
-            if used >> w & 1:
-                continue
-            if twin[w] & ~used & ((1 << w) - 1):
-                continue
-            col = 0
-            for p in placed:
-                col = col << 1 | (adj[p] >> w & 1)
-            cands.append((col, w))
-        cands.sort()
-        for col, w in cands:
+        filled += k
+        shift = m - filled
+        bound = best >> shift
+        for col, cell in cells:
             new_prefix = prefix << k | col
-            new_filled = filled + k
-            if new_prefix > best >> (m - new_filled):
-                break
-            placed.append(w)
-            if dfs(used | 1 << w, new_prefix, new_filled):
-                return True
-            placed.pop()
+            if new_prefix > bound:
+                return False
+            while cell:
+                low = cell & -cell
+                cell ^= low
+                w = low.bit_length() - 1
+                if lower[w] & ~used:
+                    continue
+                row = adj[w]
+                off = ~(row | low)
+                # the child's first cell, where its own bound test starts
+                c, mask = cells[0] if cells[0][1] != low else cells[1]
+                first = c << 1 if mask & off else c << 1 | 1
+                if (new_prefix << k + 1 | first) > best >> (shift - k - 1):
+                    continue
+                children = []
+                for c, mask in cells:
+                    if mask & off:
+                        children.append((c << 1, mask & off))
+                    if mask & row:
+                        children.append((c << 1 | 1, mask & row))
+                placed.append(w)
+                if dfs(children, used | low, new_prefix, filled):
+                    return True
+                placed.pop()
+                bound = best >> shift
+                if new_prefix > bound:
+                    return False
         return False
 
-    dfs(0, 0, 0)
+    dfs([(0, (1 << n) - 1)], 0, 0, 0)
     perm = [0] * n
     for position, vertex in enumerate(best_order):
         perm[vertex] = position

@@ -32,7 +32,6 @@ whether the closure decided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from nonham.graphs import Graph, add_edge, bits, twin_masks
 
@@ -260,24 +259,17 @@ def _search_cycle(g: Graph) -> tuple[int, ...] | None:
     return None if path is None else tuple(path)
 
 
-# Bounded, so a long sweep keeps a fixed working set; 2**16 holds every
-# graph of the n=8 corpus, so repeated sweeps in one process stay warm.
-@lru_cache(maxsize=1 << 16)
-def _cycle_cached(g: Graph) -> tuple[int, ...] | None:
-    return _search_cycle(g)
-
-
 def is_hamiltonian(g: Graph) -> bool:
     """Exact hamiltonicity decision (False for n < 3).
 
-    A graph the closure decides never reaches the search or its cache.
+    A graph the closure decides never reaches the search.
     """
-    return _closure_complete(g) or _cycle_cached(g) is not None
+    return _closure_complete(g) or _search_cycle(g) is not None
 
 
 def find_hamiltonian_cycle(g: Graph) -> list[int] | None:
     """A hamiltonian cycle as a vertex sequence (wrap-around implied), or None."""
-    cyc = _cycle_cached(g)
+    cyc = _search_cycle(g)
     return None if cyc is None else list(cyc)
 
 
@@ -294,37 +286,24 @@ def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
     return None if path is None else path + [v]
 
 
-def _decide_uncached(g: Graph) -> bool:
-    """``is_hamiltonian`` for one-off graphs, which stay out of the cache."""
-    return _closure_complete(g) or _search_cycle(g) is not None
-
-
 def saturate(g: Graph) -> Graph:
     """Close a nonhamiltonian graph under edge additions that keep it
-    nonhamiltonian, probing nonedges in lexicographic order.
-
-    The probes are one-off graphs, so they bypass the hamiltonicity cache
-    and leave it holding only the input.
-    """
+    nonhamiltonian, probing nonedges in lexicographic order."""
     if is_hamiltonian(g):
         raise ValueError("saturate requires a nonhamiltonian input")
     cur = g
     for u, v in g.nonedges():
         candidate = add_edge(cur, u, v)
-        if not _decide_uncached(candidate):
+        if not is_hamiltonian(candidate):
             cur = candidate
     return cur
 
 
 def is_saturated(g: Graph) -> bool:
-    """Nonhamiltonian, and every nonedge addition creates a hamiltonian cycle.
-
-    Only ``g`` itself goes through the hamiltonicity cache; the one-off
-    ``g + uv`` probes do not.
-    """
+    """Nonhamiltonian, and every nonedge addition creates a hamiltonian cycle."""
     if is_hamiltonian(g):
         return False
-    return all(_decide_uncached(add_edge(g, u, v)) for u, v in g.nonedges())
+    return all(is_hamiltonian(add_edge(g, u, v)) for u, v in g.nonedges())
 
 
 def ore_check(g: Graph) -> list[tuple[int, int]]:
@@ -352,8 +331,7 @@ def path_partition(h: Graph, t: int) -> PathPartition | None:
     Adds a clique of t universal vertices, finds a hamiltonian cycle of the
     augmented graph, and deletes the clique.  Guaranteed to succeed whenever
     every nonedge xy of h satisfies d(x) + d(y) >= n(h) - t; returns None only
-    when the augmented graph has no hamiltonian cycle.  The augmented graph
-    is a one-off, so it bypasses the hamiltonicity cache.
+    when the augmented graph has no hamiltonian cycle.
     """
     if t < 1:
         raise ValueError("path_partition needs t >= 1")

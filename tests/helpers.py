@@ -89,6 +89,22 @@ def oracle_automorphisms(f: Graph) -> int:
     return count
 
 
+def oracle_min_code(g: Graph) -> int:
+    """The smallest code over all vertex orders: for j = 1..n-1 and i < j,
+    the bit says whether the i-th and j-th vertices are adjacent, first bit
+    most significant."""
+    best = None
+    for order in permutations(range(g.n)):
+        code = 0
+        for j in range(1, g.n):
+            row = g.adj[order[j]]
+            for i in range(j):
+                code = code << 1 | (row >> order[i] & 1)
+        if best is None or code < best:
+            best = code
+    return best
+
+
 def oracle_class_count(n: int) -> int:
     """Count isomorphism classes by labeled dedup: mark whole orbits."""
     seen: set[frozenset] = set()

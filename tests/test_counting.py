@@ -136,6 +136,23 @@ def test_clique_embedding_consistency():
             for i in range(2, k + 1):
                 fact *= i
             assert fact * count_cliques(g, k) == labeled
+    # that identity is how a pattern whose non-isolated vertices form K_c is
+    # counted, so check it against the oracle and against the search it
+    # bypasses, isolated vertices included
+    small = [random_graph(rng, n, p) for n in (6, 7) for p in (0.5, 0.8)]
+    large = [random_graph(rng, 12, p) for p in (0.5, 0.7)] + [relabel(build_H(12, 3), rng.sample(range(12), 12))]
+    for c in range(1, 7):
+        for isolated in (0, 1, 2):
+            f = build_from_edges(c + isolated, [(i, j) for j in range(c) for i in range(j)])
+            for g in small:
+                if f.n <= g.n:
+                    assert count_labeled_embeddings(g, f) == oracle_labeled_embeddings(g, f), (g, f)
+            if c == 1:
+                continue
+            for g in small + large:
+                if f.n <= g.n:
+                    searched = counting._search_core_copies(g, f, c) * falling_factorial(g.n - c, isolated)
+                    assert count_labeled_embeddings(g, f) == searched, (g, f)
 
 
 def test_automorphism_counts():

@@ -5,15 +5,24 @@ from pathlib import Path
 
 import pytest
 
-from helpers import oracle_class_count, random_graph
+from helpers import oracle_class_count, oracle_min_code, random_graph
 from nonham.classify import is_isomorphic
 from nonham.enumeration import (
+    _min_code_perm,
     apply_filters,
     canonical_form,
     enumerate_nonisomorphic,
     stream_graph6,
 )
-from nonham.graphs import Graph6Error, graph6_encode, induced_subgraph, min_degree, relabel
+from nonham.families import build_GprimeD, build_Gprime2, build_Hprime
+from nonham.graphs import (
+    Graph6Error,
+    _triangle_code,
+    graph6_encode,
+    induced_subgraph,
+    min_degree,
+    relabel,
+)
 
 DATA8 = Path(__file__).parent / "data" / "graphs_n8.g6"
 
@@ -81,6 +90,37 @@ def test_canonical_form_is_relabeling_invariant():
         perm = rng.sample(range(g.n), g.n)
         assert canonical_form(relabel(g, perm)) == canonical_form(g)
         assert is_isomorphic(canonical_form(g), g)
+    # order 16: a random graph and three family members
+    for g in (random_graph(rng, 16, 0.5), build_Hprime(16, 2), build_Gprime2(16), build_GprimeD(16, 2)):
+        form = canonical_form(g)
+        for _ in range(2):
+            assert canonical_form(relabel(g, rng.sample(range(16), 16))) == form
+        assert is_isomorphic(form, g)
+
+
+def _check_min_code(g, expected):
+    code, perm = _min_code_perm(g)
+    assert code == expected, g
+    assert _triangle_code(relabel(g, perm)) == code
+    # stopped at the first code below g's own: equal exactly when canonical
+    own = _triangle_code(g)
+    stopped, perm = _min_code_perm(g, own=own)
+    assert (stopped == own) == (own == expected), g
+    assert expected <= stopped <= own
+    assert _triangle_code(relabel(g, perm)) == stopped
+
+
+def test_min_code_matches_the_permutation_oracle():
+    rng = random.Random(43)
+    for n in range(1, 7):
+        for g in enumerate_nonisomorphic(n):
+            expected = oracle_min_code(g)
+            assert expected == _triangle_code(g)
+            for _ in range(3):
+                _check_min_code(relabel(g, rng.sample(range(n), n)), expected)
+    for _ in range(300):
+        g = random_graph(rng, 7, rng.random())
+        _check_min_code(g, oracle_min_code(g))
 
 
 def test_filters():

@@ -8,6 +8,7 @@ from helpers import (
     oracle_is_hamiltonian,
     random_graph,
 )
+from nonham import hamilton
 from nonham.enumeration import enumerate_nonisomorphic
 from nonham.families import build_H
 from nonham.graphs import build_from_edges, complete_graph, relabel, twin_masks
@@ -15,7 +16,6 @@ from nonham.hamilton import (
     PathPartition,
     _capacity_classes,
     _closure_complete,
-    _cycle_cached,
     find_hamiltonian_cycle,
     hamiltonian_path_between,
     is_hamiltonian,
@@ -231,18 +231,21 @@ def test_closure_decides_most_hamiltonian_corpus_graphs():
     assert (closed, hamiltonian) == (5540, 6196)
 
 
-def test_closure_decided_graph_skips_the_cache():
+def test_closure_decided_graph_skips_the_search(monkeypatch):
     # K8 minus a perfect matching: every degree is 6, so the closure is
     # complete and the search never runs for the decision
     matching = {(0, 1), (2, 3), (4, 5), (6, 7)}
     edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) not in matching]
     g = relabel(build_from_edges(8, edges), [5, 2, 7, 0, 3, 6, 1, 4])
     assert _closure_complete(g)
-    before = _cycle_cached.cache_info()
+    searched = []
+    search = hamilton._search_cycle
+    monkeypatch.setattr(hamilton, "_search_cycle", lambda h: searched.append(h) or search(h))
     assert is_hamiltonian(g)
-    assert _cycle_cached.cache_info() == before
+    assert searched == []
     # the witness still comes from the search
     cyc = find_hamiltonian_cycle(g)
+    assert searched == [g]
     assert sorted(cyc) == list(range(8))
     assert all(g.has_edge(cyc[i], cyc[(i + 1) % 8]) for i in range(8))
 
@@ -269,23 +272,6 @@ def test_saturate_properties_exhaustive():
 def test_saturate_deterministic():
     g = build_from_edges(4, [])
     assert saturate(g) == saturate(g)
-
-
-def test_saturate_caches_only_its_input():
-    # a 10-vertex path: nonhamiltonian, with 36 nonedges to probe
-    g = build_from_edges(10, [(i, i + 1) for i in range(9)])
-    before = _cycle_cached.cache_info().currsize
-    s = saturate(g)
-    assert _cycle_cached.cache_info().currsize - before <= 1
-    # is_saturated caches s itself, never its s + uv probes
-    before = _cycle_cached.cache_info().currsize
-    assert is_saturated(s)
-    assert _cycle_cached.cache_info().currsize - before <= 1
-    # path_partition's augmented graph is a one-off and stays out
-    before = _cycle_cached.cache_info().currsize
-    for t in (1, 2, 3):
-        path_partition(g, t).validate(g)
-    assert _cycle_cached.cache_info().currsize == before
 
 
 def test_saturate_properties_order7():

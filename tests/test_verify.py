@@ -5,12 +5,10 @@ import pytest
 
 from nonham import verify
 from nonham.classify import is_isomorphic, spanning_subgraph_of
-from nonham.counting import _cliques_cached
 from nonham.enumeration import enumerate_nonisomorphic
 from nonham.families import build_H
 from nonham.formulas import d0, e_bound, h_k
 from nonham.graphs import graph6_decode, graph6_encode
-from nonham.hamilton import _cycle_cached
 from nonham.verify import (
     verify_clique_bound,
     verify_edge_bound,
@@ -244,12 +242,41 @@ def test_only_reported_graphs_are_encoded(monkeypatch):
         assert len(calls) == len(report.witnesses) + len(report.violations)
 
 
-def test_hot_caches_are_bounded():
-    # finite, and large enough for the n=8 corpus (12,346 graphs) at k = 2, 3, 4
-    for cached in (_cycle_cached, _cliques_cached):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None
-        assert maxsize >= 3 * 12346
+def test_per_graph_queries_retain_no_memory():
+    # a long stream of distinct graphs through the per-graph kernels must
+    # leave nothing behind; keeping each graph would hold several hundred KB
+    import gc
+    import random
+    import tracemalloc
+
+    from helpers import REPO_GRAPHS8
+    from nonham.counting import count_cliques
+    from nonham.graphs import relabel
+    from nonham.hamilton import is_hamiltonian
+
+    with open(REPO_GRAPHS8, encoding="ascii") as fh:
+        records = [line.strip() for line in islice(fh, 2050)]
+    rng = random.Random(5)
+    perms = [rng.sample(range(8), 8) for _ in records]
+
+    def query(lo, hi):
+        for record, perm in zip(records[lo:hi], perms[lo:hi]):
+            g = relabel(graph6_decode(record), perm)
+            is_hamiltonian(g)
+            count_cliques(g, 3)
+
+    tracemalloc.start()
+    try:
+        query(0, 50)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        query(50, 2050)
+        # the recursive search closures form reference cycles: collect them
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 32 * 1024, retained
 
 
 def test_parameter_validation():
