@@ -5,7 +5,8 @@ low-degree vertices.  A graph g fits a template exactly when g has a set B of
 the template's size whose vertices are under the template's degree cap,
 whose induced graph g[B] the template allows, and whose neighbours outside B
 fit in the template's attachment set; A is a clique, so the other vertices
-can go anywhere in it:
+can go anywhere in it.  ``_low_side`` computes these numbers from the family
+table in ``nonham.families``, where B is the low parts:
 
 =========  ====  ==========  ===============  =============================
 family     |B|   degree cap  g[B]             N(B) - B
@@ -31,8 +32,9 @@ template degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from nonham.families import Family
+from nonham.families import _QUOTIENTS, Family
 from nonham.graphs import Graph, bits, mask_of, twin_masks
 
 
@@ -76,7 +78,9 @@ def spanning_subgraph_of(g: Graph, template: Graph) -> list[int] | None:
                     return True
         return False
 
-    if not place(0, 0):
+    found = place(0, 0)
+    del place  # the closure holds itself through its cell: free it now
+    if not found:
         return None
     result = [0] * n
     for i, v in enumerate(order):
@@ -104,16 +108,23 @@ def _layout(n: int, fixed: dict[int, int]) -> list[int]:
     return [w if w >= 0 else next(free) for w in result]
 
 
+@lru_cache(maxsize=64)
 def _low_side(fam: Family) -> tuple[int, int, int, int]:
-    """(|B|, degree cap on B, edges g[B] may have, bound on |N(B) - B|)."""
-    d = fam.d
-    if fam.tag == "h":
-        return d, d, 0, d
-    if fam.tag == "hprime":
-        return d + 1, d + 1, 1, d
-    if fam.tag == "gprime2":
-        return 3, 2, 0, 4
-    return 4, 3, 2, 2
+    """(|B|, degree cap on B, edges g[B] may have, bound on |N(B) - B|), by
+    arithmetic on the family's quotient: B is its low parts, and each low
+    part is a clique or independent and joined only to parts outside B."""
+    q = _QUOTIENTS[fam.tag]
+    sizes = q.sizes(fam.n, fam.d)
+    size = cap = twice_edges = reach = 0
+    for p in bits(q.low):
+        if sizes[p]:
+            inner = sizes[p] - 1 if q.cliques[p] else 0
+            outer = sum(sizes[r] for r in bits(q.full[p])) + q.paired[p].bit_count()
+            size += sizes[p]
+            cap = max(cap, inner + outer)
+            twice_edges += sizes[p] * inner
+            reach |= q.full[p] | q.paired[p]
+    return size, cap, twice_edges // 2, sum(sizes[r] for r in bits(reach))
 
 
 def _search_low_side(g: Graph, fam: Family) -> list[int] | None:
@@ -163,7 +174,9 @@ def _search_low_side(g: Graph, fam: Family) -> list[int] | None:
             chosen.pop()
         return None
 
-    return grow(0, 0, 0, 0)
+    found = grow(0, 0, 0, 0)
+    del grow  # the closure holds itself through its cell: free it now
+    return found
 
 
 def _place_low_side(g: Graph, fam: Family, low: list[int], nb: int) -> list[int] | None:

@@ -82,7 +82,9 @@ def _search_core_copies(g: Graph, f: Graph, core: int) -> int:
             total += place(i + 1, used | 1 << w)
         return total
 
-    return place(0, 0)
+    total = place(0, 0)
+    del place  # the closure holds itself through its cell: free it now
+    return total
 
 
 def count_cliques(g: Graph, k: int) -> int:
@@ -102,7 +104,9 @@ def count_cliques(g: Graph, k: int) -> int:
             total += common.bit_count() if need == 2 else rec(common, need - 1)
         return total
 
-    return rec((1 << g.n) - 1, k)
+    total = rec((1 << g.n) - 1, k)
+    del rec  # the closure holds itself through its cell: free it now
+    return total
 
 
 def automorphism_count(f: Graph) -> int:

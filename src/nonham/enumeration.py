@@ -157,6 +157,7 @@ def _min_code_perm(g: Graph, own: int | None = None) -> tuple[int, list[int]]:
         return False
 
     dfs([(0, (1 << n) - 1)], 0, 0, 0)
+    del dfs  # the closure holds itself through its cell: free it now
     perm = [0] * n
     for position, vertex in enumerate(best_order):
         perm[vertex] = position

@@ -1,103 +1,66 @@
-"""Deterministic builders for the extremal nonhamiltonian graph families.
+"""The extremal nonhamiltonian graph families, each declared once as a quotient.
 
-Vertex layout is canonical for every family so that graph6 output is
-byte-reproducible: the big clique occupies the lowest indices, the attachment
-set is the lowest clique indices, and the special (low-degree) vertices come
-last.
+Every family is a blow-up of a small quotient graph, whose parts are cliques
+or independent sets (a lower-case name), any two completely joined (``a-b``)
+or not.  ``a=b`` joins the i-th vertices of a and b alone, each part then
+standing for a row of one-vertex parts.  An entry of ``_QUOTIENTS`` gives the
+builder's error and valid (n, d) range, the parts in order with their sizes,
+and the joins.  ``Family.build`` is the one blow-up.  The parts in order are
+the vertex layout, so graph6 output is byte-reproducible: attachment vertices
+first, then the rest C of the big clique, then the low parts (those not
+joined to C), which are the set B that ``nonham.classify`` searches for.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import accumulate, product
 
-from nonham.graphs import Graph, build_from_edges
+from nonham.graphs import Graph, _check_order, bits
 
-FAMILY_TAGS = ("h", "kprime", "hprime", "gprime2", "f3", "gprimed")
-
-
-def _clique_edges(vertices: list[int]) -> list[tuple[int, int]]:
-    return [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
+_Quotient = namedtuple("_Quotient", "error valid sizes cliques full paired low takes_d")
 
 
-def build_H(n: int, d: int) -> Graph:
-    """Clique K_{n-d} plus d independent vertices all joined to the same d
-    clique vertices.  Minimum degree d, nonhamiltonian, h(n,d) edges."""
-    if not 1 <= d <= (n - 1) // 2:
-        raise ValueError(f"build_H(n={n}, d={d}) needs 1 <= d <= {(n - 1) // 2}")
-    clique = list(range(n - d))
-    edges = _clique_edges(clique)
-    for v in range(n - d, n):
-        edges += [(a, v) for a in range(d)]
-    return build_from_edges(n, edges)
+def _declare(error, valid, parts, sizes, joins, takes_d=True) -> _Quotient:
+    """Parse one declaration, keeping each part's joins as bitmasks over parts."""
+    bit = {name: 1 << i for i, name in enumerate(parts.split())}
+    full, paired = dict.fromkeys(bit, 0), dict.fromkeys(bit, 0)
+    for join in joins.split():
+        kind = paired if "=" in join else full
+        a, b = join.replace("=", "-").split("-")
+        kind[a] |= bit[b]
+        kind[b] |= bit[a]
+    low = (1 << len(bit)) - 1 & ~(full["C"] | bit["C"])
+    cliques = tuple(not name.islower() for name in bit)
+    full, paired = tuple(full.values()), tuple(paired.values())
+    return _Quotient(error, valid, sizes, cliques, full, paired, low, takes_d)
 
 
-def build_Kprime(n: int, d: int) -> Graph:
-    """Edge-disjoint union of K_{n-d} and K_{d+1} sharing one cut vertex."""
-    if not 1 <= d <= (n - 1) // 2:
-        raise ValueError(f"build_Kprime(n={n}, d={d}) needs 1 <= d <= {(n - 1) // 2}")
-    big = list(range(n - d))
-    small = list(range(n - d - 1, n))
-    return build_from_edges(n, _clique_edges(big) + _clique_edges(small))
+_QUOTIENTS = {
+    "h": _declare(
+        "build_H(n={n}, d={d}) needs 1 <= d <= {half}", lambda n, d: 1 <= d <= (n - 1) // 2,
+        "D C b", lambda n, d: (d, n - 2 * d, d), "D-C D-b"),
+    "kprime": _declare(
+        "build_Kprime(n={n}, d={d}) needs 1 <= d <= {half}", lambda n, d: 1 <= d <= (n - 1) // 2,
+        "C X S", lambda n, d: (n - d - 1, 1, d), "C-X X-S"),
+    "hprime": _declare(
+        "build_Hprime(n={n}, d={d}) needs d >= 1 and n >= 2d+2",
+        lambda n, d: d >= 1 and n >= 2 * d + 2,
+        "D C b E", lambda n, d: (d, n - 2 * d - 1, d - 1, 2), "D-C D-b D-E"),
+    "gprime2": _declare(
+        "build_Gprime2(n={n}) needs n >= 7", lambda n, d: n >= 7,
+        "A X C b", lambda n, d: (3, 1, n - 7, 3), "A-X A-C X-C A=b X-b", takes_d=False),
+    "f3": _declare(
+        "build_F3(n={n}) needs n >= 8", lambda n, d: n >= 8,
+        "D C E F", lambda n, d: (2, n - 6, 2, 2), "D-C D-E D-F", takes_d=False),
+    "gprimed": _declare(
+        "build_GprimeD(n={n}, d={d}) needs d >= 1 and n >= 3d+1",
+        lambda n, d: d >= 1 and n >= 3 * d + 1,
+        "S Z C v", lambda n, d: (d - 1, d + 1, n - 3 * d - 1, d + 1), "S-Z S-C Z-C S-v Z=v"),
+}
 
-
-def build_Hprime(n: int, d: int) -> Graph:
-    """Clique A of order n-d-1 plus a (d+1)-set B inducing exactly one edge,
-    every B-vertex joined to the same d vertices of A.
-
-    The unique B-edge sits between the two highest-indexed vertices.
-    """
-    if d < 1 or n < 2 * d + 2:
-        raise ValueError(f"build_Hprime(n={n}, d={d}) needs d >= 1 and n >= 2d+2")
-    clique = list(range(n - d - 1))
-    edges = _clique_edges(clique)
-    for v in range(n - d - 1, n):
-        edges += [(a, v) for a in range(d)]
-    edges.append((n - 2, n - 1))
-    return build_from_edges(n, edges)
-
-
-def build_Gprime2(n: int) -> Graph:
-    """Clique A of order n-3 plus an independent 3-set {b_1,b_2,b_3} with
-    N(b_i) = {a_i, x} for distinct a_1,a_2,a_3,x in A."""
-    if n < 7:
-        raise ValueError(f"build_Gprime2(n={n}) needs n >= 7")
-    clique = list(range(n - 3))
-    edges = _clique_edges(clique)
-    for i in range(3):
-        b = n - 3 + i
-        edges += [(i, b), (3, b)]
-    return build_from_edges(n, edges)
-
-
-def build_F3(n: int) -> Graph:
-    """Clique A of order n-4 plus a 4-set B inducing a perfect matching, every
-    B-vertex joined to the same two vertices of A."""
-    if n < 8:
-        raise ValueError(f"build_F3(n={n}) needs n >= 8")
-    clique = list(range(n - 4))
-    edges = _clique_edges(clique)
-    for v in range(n - 4, n):
-        edges += [(0, v), (1, v)]
-    edges += [(n - 4, n - 3), (n - 2, n - 1)]
-    return build_from_edges(n, edges)
-
-
-def build_GprimeD(n: int, d: int) -> Graph:
-    """Clique A of order n-d-1 plus an independent (d+1)-set {v_1..v_{d+1}}
-    with N(v_i) = S + z_i for a fixed (d-1)-set S and distinct z_i in A.
-
-    A must contain S and the z_i disjointly, so n >= 3d+1.  Hamiltonian
-    exactly when d >= 3.
-    """
-    if d < 1 or n < 3 * d + 1:
-        raise ValueError(f"build_GprimeD(n={n}, d={d}) needs d >= 1 and n >= 3d+1")
-    clique = list(range(n - d - 1))
-    edges = _clique_edges(clique)
-    for i in range(d + 1):
-        v = n - d - 1 + i
-        edges += [(s, v) for s in range(d - 1)]
-        edges.append((d - 1 + i, v))
-    return build_from_edges(n, edges)
+FAMILY_TAGS = tuple(_QUOTIENTS)
 
 
 @dataclass(frozen=True)
@@ -114,31 +77,69 @@ class Family:
 
     def is_valid(self) -> bool:
         """Whether the parameters are in the family's defined range."""
-        n, d = self.n, self.d
-        if self.tag in ("h", "kprime"):
-            return 1 <= d <= (n - 1) // 2
-        if self.tag == "hprime":
-            return d >= 1 and n >= 2 * d + 2
-        if self.tag == "gprime2":
-            return n >= 7
-        if self.tag == "f3":
-            return n >= 8
-        return d >= 1 and n >= 3 * d + 1
-
-    def build(self) -> Graph:
-        if self.tag == "h":
-            return build_H(self.n, self.d)
-        if self.tag == "kprime":
-            return build_Kprime(self.n, self.d)
-        if self.tag == "hprime":
-            return build_Hprime(self.n, self.d)
-        if self.tag == "gprime2":
-            return build_Gprime2(self.n)
-        if self.tag == "f3":
-            return build_F3(self.n)
-        return build_GprimeD(self.n, self.d)
+        return _QUOTIENTS[self.tag].valid(self.n, self.d)
 
     def label(self) -> str:
-        if self.tag in ("gprime2", "f3"):
-            return f"{self.tag}({self.n})"
-        return f"{self.tag}({self.n},{self.d})"
+        if _QUOTIENTS[self.tag].takes_d:
+            return f"{self.tag}({self.n},{self.d})"
+        return f"{self.tag}({self.n})"
+
+    def build(self) -> Graph:
+        """The blow-up of the family's quotient, parts in declared order."""
+        q, n, d = _QUOTIENTS[self.tag], self.n, self.d
+        if not q.valid(n, d):
+            raise ValueError(q.error.format(n=n, d=d, half=(n - 1) // 2))
+        _check_order(n)
+        first = [0, *accumulate(q.sizes(n, d))]
+        masks = [(1 << end) - (1 << start) for start, end in zip(first, first[1:])]
+        rows = []
+        for p, mask in enumerate(masks):
+            out = sum(masks[r] for r in bits(q.full[p]))
+            part = range(first[p], first[p + 1])
+            rows += [out | mask ^ 1 << v for v in part] if q.cliques[p] else [out] * len(part)
+            if q.paired[p]:
+                for r, v in product(bits(q.paired[p]), part):
+                    rows[v] |= 1 << v - first[p] + first[r]
+        return Graph(n, tuple(rows))
+
+
+def build_H(n: int, d: int) -> Graph:
+    """Clique K_{n-d} plus d independent vertices all joined to the same d
+    clique vertices.  Minimum degree d, nonhamiltonian, h(n,d) edges."""
+    return Family("h", n, d).build()
+
+
+def build_Kprime(n: int, d: int) -> Graph:
+    """Edge-disjoint union of K_{n-d} and K_{d+1} sharing one cut vertex."""
+    return Family("kprime", n, d).build()
+
+
+def build_Hprime(n: int, d: int) -> Graph:
+    """Clique A of order n-d-1 plus a (d+1)-set B inducing exactly one edge,
+    every B-vertex joined to the same d vertices of A.
+
+    The unique B-edge sits between the two highest-indexed vertices.
+    """
+    return Family("hprime", n, d).build()
+
+
+def build_Gprime2(n: int) -> Graph:
+    """Clique A of order n-3 plus an independent 3-set {b_1,b_2,b_3} with
+    N(b_i) = {a_i, x} for distinct a_1,a_2,a_3,x in A."""
+    return Family("gprime2", n).build()
+
+
+def build_F3(n: int) -> Graph:
+    """Clique A of order n-4 plus a 4-set B inducing a perfect matching, every
+    B-vertex joined to the same two vertices of A."""
+    return Family("f3", n).build()
+
+
+def build_GprimeD(n: int, d: int) -> Graph:
+    """Clique A of order n-d-1 plus an independent (d+1)-set {v_1..v_{d+1}}
+    with N(v_i) = S + z_i for a fixed (d-1)-set S and distinct z_i in A.
+
+    A must contain S and the z_i disjointly, so n >= 3d+1.  Hamiltonian
+    exactly when d >= 3.
+    """
+    return Family("gprimed", n, d).build()

@@ -187,6 +187,11 @@ def twin_masks(g: Graph) -> list[int]:
     ]
 
 
+def _check_order(n: int) -> None:
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"graph order {n} outside 1..{MAX_ORDER}")
+
+
 def _check_vertex(g: Graph, v: int) -> None:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
@@ -197,8 +202,7 @@ def build_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     Duplicate edges collapse; loops are rejected.
     """
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"graph order {n} outside 1..{MAX_ORDER}")
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -211,8 +215,7 @@ def build_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"graph order {n} outside 1..{MAX_ORDER}")
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 

@@ -208,7 +208,9 @@ def _extend_path(
             path.pop()
         return False
 
-    return path if extend(start, cover & ~(1 << start)) else None
+    found = extend(start, cover & ~(1 << start))
+    del extend  # the closure holds itself through its cell: free it now
+    return path if found else None
 
 
 def _closure_complete(g: Graph) -> bool:

@@ -175,6 +175,18 @@ def test_gen_invalid_params_exits_2():
     assert "nonham:" in proc.stderr
 
 
+def test_gen_without_d_names_the_missing_flag(capsys):
+    for tag in ("h", "kprime", "hprime", "gprimed"):
+        assert main(["gen", "--family", tag, "--n", "9"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"nonham: gen --family {tag} requires --d\n"
+    # the two families without a d parameter need no --d
+    for tag in ("gprime2", "f3"):
+        assert main(["gen", "--family", tag, "--n", "9"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_ham_path_none():
     # star leaf to leaf has no spanning path
     proc = run_cli(["ham", "path", "--from", "1", "--to", "2"], stdin="Cs\n")

@@ -1,9 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from helpers import contract_edge
 from nonham.classify import is_isomorphic
 from nonham.counting import count_cliques
 from nonham.families import (
+    FAMILY_TAGS,
     Family,
     build_F3,
     build_Gprime2,
@@ -160,3 +164,49 @@ def test_byte_reproducible_layouts():
         "gprime2(7)": "F~dP_",
         "f3(8)": "G~rMEC",
     }
+
+
+def _reference_module():
+    # the benchmark's constructions, written apart from nonham; loaded, not copied
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quotient_table_matches_the_reference_constructions():
+    ref = _reference_module()
+    built = 0
+    for tag in FAMILY_TAGS:
+        for n in range(1, 65):
+            for d in range(34):
+                fam = Family(tag, n, d)
+                assert fam.is_valid() == ref.family_valid(tag, n, d), fam
+                assert fam.label() == ref.family_label(tag, n, d), fam
+                if fam.is_valid():
+                    assert list(fam.build().adj) == ref.family_rows(tag, n, d), fam
+                    built += 1
+    assert built > 7000
+
+
+def test_builders_keep_their_range_errors():
+    cases = [
+        (build_H, (9, 0), "build_H(n=9, d=0) needs 1 <= d <= 4"),
+        (build_H, (9, 5), "build_H(n=9, d=5) needs 1 <= d <= 4"),
+        (build_H, (65, 3), "graph order 65 outside 1..64"),
+        (build_Kprime, (4, 2), "build_Kprime(n=4, d=2) needs 1 <= d <= 1"),
+        (build_Kprime, (-3, 1), "build_Kprime(n=-3, d=1) needs 1 <= d <= -2"),
+        (build_Hprime, (5, 2), "build_Hprime(n=5, d=2) needs d >= 1 and n >= 2d+2"),
+        (build_Hprime, (9, 0), "build_Hprime(n=9, d=0) needs d >= 1 and n >= 2d+2"),
+        (build_Gprime2, (6,), "build_Gprime2(n=6) needs n >= 7"),
+        (build_Gprime2, (100,), "graph order 100 outside 1..64"),
+        (build_F3, (7,), "build_F3(n=7) needs n >= 8"),
+        (build_GprimeD, (9, 3), "build_GprimeD(n=9, d=3) needs d >= 1 and n >= 3d+1"),
+        (build_GprimeD, (9, 0), "build_GprimeD(n=9, d=0) needs d >= 1 and n >= 3d+1"),
+        (build_GprimeD, (10**6, 3), "graph order 1000000 outside 1..64"),
+    ]
+    for build, args, message in cases:
+        with pytest.raises(ValueError) as exc:
+            build(*args)
+        assert str(exc.value) == message, (build.__name__, args)

@@ -244,39 +244,59 @@ def test_only_reported_graphs_are_encoded(monkeypatch):
 
 def test_per_graph_queries_retain_no_memory():
     # a long stream of distinct graphs through the per-graph kernels must
-    # leave nothing behind; keeping each graph would hold several hundred KB
+    # leave nothing behind, not even garbage that only the cyclic collector
+    # frees, as a recursive closure that holds itself through its cell would
     import gc
     import random
     import tracemalloc
 
     from helpers import REPO_GRAPHS8
-    from nonham.counting import count_cliques
-    from nonham.graphs import relabel
-    from nonham.hamilton import is_hamiltonian
+    from nonham.classify import match_template
+    from nonham.counting import count_cliques, count_labeled_embeddings
+    from nonham.enumeration import canonical_form
+    from nonham.families import Family
+    from nonham.graphs import build_from_edges, relabel
+    from nonham.hamilton import hamiltonian_path_between, is_hamiltonian
 
     with open(REPO_GRAPHS8, encoding="ascii") as fh:
         records = [line.strip() for line in islice(fh, 2050)]
     rng = random.Random(5)
     perms = [rng.sample(range(8), 8) for _ in records]
+    path4 = build_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    templates = [Family(tag, 8, 2) for tag in ("h", "kprime", "hprime", "gprime2")]
+    templates.append(Family("f3", 8, 3))
+    cheap = [is_hamiltonian, lambda g: count_cliques(g, 3)]
+    every = cheap + [
+        lambda g: hamiltonian_path_between(g, 0, 1),
+        lambda g: count_labeled_embeddings(g, path4),
+        canonical_form,
+        lambda g: is_isomorphic(g, g),
+        *(lambda g, fam=fam: match_template(g, fam) for fam in templates),
+    ]
 
-    def query(lo, hi):
+    def query(lo, hi, kernels):
         for record, perm in zip(records[lo:hi], perms[lo:hi]):
             g = relabel(graph6_decode(record), perm)
-            is_hamiltonian(g)
-            count_cliques(g, 3)
+            for kernel in kernels:
+                kernel(g)
 
-    tracemalloc.start()
+    gc.collect()
+    gc.disable()
     try:
-        query(0, 50)
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        query(50, 2050)
-        # the recursive search closures form reference cycles: collect them
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.start()
+        try:
+            query(0, 50, cheap)
+            before = tracemalloc.get_traced_memory()[0]
+            query(50, 2050, cheap)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        query(0, 500, every)
+        cyclic = gc.collect()
     finally:
-        tracemalloc.stop()
+        gc.enable()
     assert retained < 32 * 1024, retained
+    assert cyclic == 0, cyclic
 
 
 def test_parameter_validation():
