@@ -127,6 +127,12 @@ def _low_side(fam: Family) -> tuple[int, int, int, int]:
     return size, cap, twice_edges // 2, sum(sizes[r] for r in bits(reach))
 
 
+@lru_cache(maxsize=64)
+def _template(fam: Family) -> Graph:
+    """``fam.build()``, built once per family member: Graph is frozen."""
+    return fam.build()
+
+
 def _search_low_side(g: Graph, fam: Family) -> list[int] | None:
     """Choose B vertex by vertex among the vertices under the degree cap.
 
@@ -316,7 +322,7 @@ def classify(g: Graph, d: int) -> ClassificationResult:
             continue
         found = match_template(g, fam)
         if found is not None:
-            _check_witness(g, fam.build(), found)
+            _check_witness(g, _template(fam), found)
             matched.append(fam)
             witnesses[fam] = found
     return ClassificationResult(tuple(matched), witnesses, tuple(skipped))

@@ -18,15 +18,26 @@ vertex but v, and closes at v.  The kernel prunes on:
   (identical open or closed neighborhood) are skipped, which collapses the
   search inside large cliques and independent sets.
 
-Cycle queries first reject a vertex of degree < 2, disconnection, or forced
-edges at degree-2 vertices closing a cycle shorter than n.
+A decision runs these steps in order, and the first that answers wins:
 
-Decisions try the Chvatal closure before any search (Bondy & Chvatal 1976:
-G is hamiltonian iff the graph obtained by repeatedly joining nonadjacent u,
-v with d(u) + d(v) >= n is).  A complete closure answers True at once; an
-incomplete one decides nothing, and the search answers.  Witnesses (cycles,
-paths, path partitions) come only from the search, so they do not depend on
-whether the closure decided.
+1. the Chvatal closure (Bondy & Chvatal 1976: G is hamiltonian iff the graph
+   obtained by repeatedly joining nonadjacent u, v with d(u) + d(v) >= n
+   is).  A complete closure answers True at once; an incomplete one decides
+   nothing.  Only ``is_hamiltonian`` takes this step;
+2. a vertex of degree < 2, disconnection, or forced edges at degree-2
+   vertices closing a cycle shorter than n (u-v path queries check only
+   connectivity);
+3. the scattering certificate: a set S whose removal leaves more than |S|
+   components, so G is not 1-tough and has no hamiltonian cycle (Chvatal,
+   "Tough graphs and hamiltonian circuits", 1973).  A u-v path query applies
+   it to G plus a new vertex joined to u and v only, which has a hamiltonian
+   cycle iff G has a hamiltonian u-v path.  The candidate sets are each twin
+   class's outside neighborhood and the neighborhood of each vertex of
+   minimum degree, which include the separators of H, H', K' and F3;
+4. the search.
+
+The closure and the certificate give no witness, so witnesses (cycles,
+paths, path partitions) do not depend on whether either decided.
 """
 
 from __future__ import annotations
@@ -71,15 +82,21 @@ class PathPartition:
             raise ValueError("paths do not cover the vertex set")
 
 
-def _connected(g: Graph) -> bool:
-    reach = frontier = 1
+def _component(adj: tuple[int, ...], seed: int, within: int) -> int:
+    """The vertices reachable from the mask ``seed`` through the mask ``within``."""
+    comp = frontier = seed
     while frontier:
         nxt = 0
         for v in bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~reach
-        reach |= frontier
-    return reach == (1 << g.n) - 1
+            nxt |= adj[v]
+        frontier = nxt & within & ~comp
+        comp |= frontier
+    return comp
+
+
+def _connected(g: Graph) -> bool:
+    full = (1 << g.n) - 1
+    return _component(g.adj, 1, full) == full
 
 
 def _capacity_classes(g: Graph, twin: list[int]) -> list[tuple[int, int, bool]]:
@@ -156,8 +173,69 @@ def _walk_cycle(forced: list[int]) -> tuple[int, ...]:
     return tuple(cycle)
 
 
+def _scattered(
+    g: Graph, classes: list[tuple[int, int, bool]], u: int = -1, v: int = -1
+) -> bool:
+    """True when removing some candidate set S from the connected graph g
+    leaves more than |S| components, which rules out a hamiltonian cycle;
+    with endpoints u and v, the same count taken in g plus a vertex joined to
+    u and v only, which rules out a hamiltonian u-v path.  False says nothing.
+
+    The new vertex is one more component when u and v both lie in S, and
+    joins two components into one when neither does and they lie apart.
+    """
+    n = g.n
+    adj = g.adj
+    deg = [row.bit_count() for row in adj]
+    low = min(deg)
+    cands = set()
+    clique_members = 0
+    for members, outside, is_true in classes:
+        cands.add(outside)
+        if is_true:
+            clique_members |= members
+    # for x in a clique class M with outside O, N(x) is O plus M - x, and
+    # g - N(x) has as many components as g - O: never a better candidate
+    cands.update(
+        row
+        for x, row in enumerate(adj)
+        if deg[x] == low and not clique_members >> x & 1
+    )
+    ends = 1 << u | 1 << v if u >= 0 else 0
+    # the count is at most n + 1 - |S| with the new vertex, n - |S| without
+    cap = n + (u >= 0)
+    full = (1 << n) - 1
+    for s in cands:
+        size = s.bit_count()
+        if not s or 2 * size >= cap:
+            continue
+        both_in = ends and ends & s == ends
+        neither_in = ends and not ends & s
+        limit = size - 1 if both_in else size
+        rest = full & ~s
+        # grow u's component first, so the merge is known after one component
+        seed = 1 << u if neither_in else rest & -rest
+        comps = 0
+        while seed:
+            comp = _component(adj, seed, rest)
+            rest ^= comp
+            comps += 1
+            if neither_in and comps == 1 and not comp >> v & 1:
+                limit += 1
+            if comps > limit:
+                return True
+            seed = rest & -rest
+    return False
+
+
 def _extend_path(
-    g: Graph, start: int, anchor: int, cover: int, oriented: bool
+    g: Graph,
+    twin: list[int],
+    classes: list[tuple[int, int, bool]],
+    start: int,
+    anchor: int,
+    cover: int,
+    oriented: bool,
 ) -> list[int] | None:
     """A path from ``start`` through every vertex of the mask ``cover`` whose
     last vertex is adjacent to ``anchor``, or None.
@@ -165,10 +243,9 @@ def _extend_path(
     ``anchor`` is never unvisited: it is ``start`` itself (cycles) or a vertex
     outside ``cover`` (u-v paths).  With ``oriented``, the path must also have
     its second vertex below its last, so each cycle is found in one direction.
+    ``twin`` and ``classes`` are g's ``twin_masks`` and capacity classes.
     """
     adj = g.adj
-    twin = twin_masks(g)
-    classes = _capacity_classes(g, twin)
     abit = 1 << anchor
     path = [start]
     try_order = sorted(range(g.n), key=lambda v: (adj[v].bit_count(), v))
@@ -257,7 +334,11 @@ def _search_cycle(g: Graph) -> tuple[int, ...] | None:
         return None
     if pre is not True:
         return pre
-    path = _extend_path(g, 0, 0, (1 << n) - 1, oriented=True)
+    twin = twin_masks(g)
+    classes = _capacity_classes(g, twin)
+    if _scattered(g, classes):
+        return None
+    path = _extend_path(g, twin, classes, 0, 0, (1 << n) - 1, oriented=True)
     return None if path is None else tuple(path)
 
 
@@ -284,7 +365,12 @@ def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
             raise ValueError(f"vertex {w} out of range")
     if not _connected(g):
         return None
-    path = _extend_path(g, u, v, ((1 << g.n) - 1) ^ 1 << v, oriented=False)
+    twin = twin_masks(g)
+    classes = _capacity_classes(g, twin)
+    if _scattered(g, classes, u, v):
+        return None
+    cover = ((1 << g.n) - 1) ^ 1 << v
+    path = _extend_path(g, twin, classes, u, v, cover, oriented=False)
     return None if path is None else path + [v]
 
 

@@ -10,12 +10,21 @@ from helpers import (
 )
 from nonham import hamilton
 from nonham.enumeration import enumerate_nonisomorphic
-from nonham.families import build_H
+from nonham.families import (
+    build_F3,
+    build_Gprime2,
+    build_GprimeD,
+    build_H,
+    build_Hprime,
+    build_Kprime,
+)
 from nonham.graphs import build_from_edges, complete_graph, relabel, twin_masks
 from nonham.hamilton import (
     PathPartition,
     _capacity_classes,
     _closure_complete,
+    _connected,
+    _scattered,
     find_hamiltonian_cycle,
     hamiltonian_path_between,
     is_hamiltonian,
@@ -248,6 +257,104 @@ def test_closure_decided_graph_skips_the_search(monkeypatch):
     assert searched == [g]
     assert sorted(cyc) == list(range(8))
     assert all(g.has_edge(cyc[i], cyc[(i + 1) % 8]) for i in range(8))
+
+
+def _classes(g):
+    return _capacity_classes(g, twin_masks(g))
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_scattering_certificate_never_fires_on_hamiltonian_input():
+    # called directly, on every connected class (both callers check
+    # connectivity first): the closure would hide most hamiltonian classes
+    # from an end-to-end check.  The fire counts pin how much each rule decides.
+    from helpers import REPO_GRAPHS8
+    from nonham.enumeration import stream_graph6
+
+    fires = nonhamiltonian = 0
+    for n in range(3, 9):
+        graphs = enumerate_nonisomorphic(n) if n < 8 else stream_graph6(REPO_GRAPHS8)
+        for g in filter(_connected, graphs):
+            fired = _scattered(g, _classes(g))
+            if dp_hamiltonian(g):
+                assert not fired, g
+            else:
+                nonhamiltonian += 1
+                fires += fired
+    assert (fires, nonhamiltonian) == (5296, 5472)
+
+    fires = no_path = 0
+    for n in range(2, 8):
+        for g in filter(_connected, enumerate_nonisomorphic(n)):
+            classes = _classes(g)
+            for u in range(n):
+                ends = dp_path_ends(g, u)
+                for v in range(n):
+                    if v == u:
+                        continue
+                    fired = _scattered(g, classes, u, v)
+                    if ends >> v & 1:
+                        assert not fired, (g, u, v)
+                    else:
+                        no_path += 1
+                        fires += fired
+    assert (fires, no_path) == (19486, 20896)
+
+    # C4 between opposite vertices: S = {u, v} leaves two components, and
+    # the new vertex joined to u and v only is a third
+    c4 = cycle_graph(4)
+    assert not _scattered(c4, _classes(c4))
+    assert _scattered(c4, _classes(c4), 0, 2)
+    assert not _scattered(c4, _classes(c4), 0, 1)
+
+
+def test_certificate_settles_family_members_without_search(monkeypatch):
+    members = [
+        build_H(40, 2),
+        build_Hprime(40, 3),
+        build_F3(40),
+        build_Kprime(40, 2),
+        build_H(64, 21),
+    ]
+    calls = []
+    search = hamilton._extend_path
+    monkeypatch.setattr(
+        hamilton, "_extend_path", lambda *args: calls.append(args) or search(*args)
+    )
+    for seed, g in enumerate(members):
+        h = _relabelled(g, seed)
+        assert _scattered(h, _classes(h))
+        assert find_hamiltonian_cycle(h) is None
+    assert calls == []
+
+
+def test_path_between_vs_subset_dp_on_family_members():
+    members = [
+        build_H(12, 2),
+        build_Hprime(12, 3),
+        build_Kprime(12, 2),
+        build_F3(12),
+        build_Gprime2(12),
+        build_GprimeD(12, 2),
+    ]
+    for seed, g in enumerate(members):
+        g = _relabelled(g, seed)
+        for u in range(g.n):
+            ends = dp_path_ends(g, u)
+            for v in range(g.n):
+                if v == u:
+                    continue
+                got = hamiltonian_path_between(g, u, v)
+                assert (got is not None) == bool(ends >> v & 1), (g, u, v)
+                if got is not None:
+                    assert got[0] == u and got[-1] == v
+                    assert sorted(got) == list(range(g.n))
+                    assert all(g.has_edge(a, b) for a, b in zip(got, got[1:]))
 
 
 def test_saturate_fixed_point_on_H():
