@@ -4,16 +4,28 @@ A graph's code is its adjacency bit-string (``graphs._triangle_code``: the
 upper triangle in graph6 stream order, first bit most significant); its
 canonical form is the relabeling with the lexicographically smallest code.
 
-One branch-and-bound search (``_min_code_perm``) finds it.  The code is
-column by column, so a placement order fixes it prefix by prefix: placing a
-vertex at position k appends its column, its adjacency to the k vertices
-already placed.  The unplaced vertices are kept as an ordered partition of
-bitmask cells, one per column value, in ascending column order; placing a
-vertex splits every cell in two by adjacency to it, so each search node costs
-a few mask operations per cell, and trying candidates cell by cell meets them
-in ascending (column, vertex) order.  A branch whose prefix exceeds the best
-code's is cut, and of interchangeable vertices (twins) only the lowest
-unplaced one is tried.
+One search (``_min_code_perm``) finds it.  The code is column by column, so
+a placement order fixes it prefix by prefix: placing a vertex at position k
+appends its column, its adjacency to the k vertices already placed.
+
+* The minimal code starts with a maximum independent set.  Its first alpha
+  columns are all zero, alpha the independence number, so its first alpha
+  vertices are independent, and any maximum independent set placed first
+  gives those zero columns.  So the search starts once per maximum
+  independent set (a closed twin left out when a lower one exists), placed
+  as one cell whose internal order is left open.
+* Placed vertices are an ordered list of cells, each of open order: the
+  sub-cells of that set, then one cell per later vertex.  A vertex's least
+  column depends only on counts: cell by cell, its non-neighbors in the
+  cell as zeros, then its neighbors as ones.  The candidates at a node are
+  the unplaced vertices of least such column; ties branch.
+* Placing w fixes its column by refinement: each cell splits into its
+  non-neighbors of w, then its neighbors.  Every placed vertex is uniform
+  on each later sub-cell, so no earlier column changes, and each unplaced
+  vertex's least column is updated where a cell split rather than rebuilt.
+  Cells still shared at a leaf hold open twins, whose order is immaterial.
+* A branch whose prefix exceeds the best code's is cut, and of
+  interchangeable vertices (twins) only the lowest unplaced one is tried.
 
 The internal generator covers 1 <= n <= 8 by Read's orderly algorithm
 (R. C. Read, "Every one a winner", Ann. Discrete Math. 2, 1978; B. D. McKay,
@@ -23,8 +35,9 @@ C(n-1, 2) bits of a code are the code of the graph induced on vertices
 graph on n vertices therefore arises exactly once by giving the new vertex
 n-1 each possible neighborhood in each canonical (n-1)-graph and keeping the
 children that are their own canonical form.  A child's code is its parent's
-code followed by the new column, so it is built, not recomputed.  Larger
-orders come from external graph6 files.
+code followed by the new column, so it is built, not recomputed, and the
+search stops at the first code below it.  Larger orders come from external
+graph6 files.
 """
 
 from __future__ import annotations
@@ -36,10 +49,10 @@ from nonham.graphs import (
     Graph,
     Graph6Error,
     _triangle_code,
+    _unchecked_graph,
     graph6_decode,
     min_degree,
     relabel,
-    twin_masks,
 )
 from nonham.hamilton import is_hamiltonian
 
@@ -57,7 +70,7 @@ def _canonical_graphs(n: int) -> tuple[Graph, ...]:
         parent_code = _triangle_code(parent) << (n - 1)
         for nbhd in range(new_bit):
             rows = [row | new_bit if nbhd >> v & 1 else row for v, row in enumerate(parent.adj)]
-            child = Graph(n, (*rows, nbhd))
+            child = _unchecked_graph(n, (*rows, nbhd))
             # the new column lists vertex 0 first, so it is nbhd bit-reversed
             code = parent_code | int(f"{nbhd:0{n - 1}b}"[::-1], 2)
             if _min_code_perm(child, own=code)[0] == code:
@@ -80,83 +93,218 @@ def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
     yield from _canonical_graphs(n)
 
 
+def _lower_twins(adj: tuple[int, ...]) -> list[int]:
+    """lower[w]: the vertices below w with w's open or closed neighborhood."""
+    opened: dict[int, int] = {}
+    closed: dict[int, int] = {}
+    lower = []
+    for w, row in enumerate(adj):
+        shut = row | 1 << w
+        below_open = opened.get(row, 0)
+        below_closed = closed.get(shut, 0)
+        lower.append(below_open | below_closed)
+        opened[row] = below_open | 1 << w
+        closed[shut] = below_closed | 1 << w
+    return lower
+
+
+def _maximum_independent_sets(adj: tuple[int, ...], lower: list[int]) -> list[int]:
+    """The largest independent sets.
+
+    A closed twin is left out when a lower closed twin exists (``lower[w]``
+    holds w's twins below it): closed twins are adjacent, so a set holds at
+    most one of them, and exchanging it for the lowest is an automorphism.
+    Include or exclude the lowest candidate, and cut when the chosen set and
+    every remaining candidate together fall short.  A candidate with no
+    neighbor left among the candidates is in every largest extension.
+    """
+    cand = 0
+    for w, row in enumerate(adj):
+        if not lower[w] & row:
+            cand |= 1 << w
+    best = 1
+    found: list[int] = []
+
+    def grow(chosen: int, size: int, cand: int) -> None:
+        nonlocal best, found
+        while cand:
+            if size + cand.bit_count() < best:
+                return
+            low = cand & -cand
+            cand ^= low
+            row = adj[low.bit_length() - 1]
+            if row & cand:
+                grow(chosen | low, size + 1, cand & ~row)
+            else:
+                chosen |= low
+                size += 1
+        if size > best:
+            best = size
+            found = [chosen]
+        elif size == best:
+            found.append(chosen)
+
+    grow(0, 0, cand)
+    del grow  # the closure holds itself through its cell: free it now
+    return found
+
+
+def _refined_order(cells: list[int], row: int) -> list[int]:
+    """The vertices of ``cells`` in order, each cell's non-neighbors of
+    ``row`` first, ascending within."""
+    order = []
+    for c in cells:
+        for part in (c & ~row, c & row):
+            while part:
+                low = part & -part
+                part ^= low
+                order.append(low.bit_length() - 1)
+    return order
+
+
+def _order_code(adj: tuple[int, ...], order: list[int]) -> int:
+    """The code of g relabeled so that ``order[i]`` becomes vertex i."""
+    code = 0
+    for j in range(1, len(order)):
+        row = adj[order[j]]
+        for v in order[:j]:
+            code = code << 1 | (row >> v & 1)
+    return code
+
+
 def _min_code_perm(g: Graph, own: int | None = None) -> tuple[int, list[int]]:
     """Minimal code over relabelings and a relabeling achieving it.
 
-    Branch and bound over placement orders.  Placing vertex w at position k
-    appends k bits to the code: w's column, its adjacency to the k placed
-    vertices.  The unplaced vertices are kept as an ordered partition, a list
-    of ``(col, mask)`` cells in ascending ``col``; placing w splits each cell
-    by adjacency to w into ``(col << 1, ...)`` and ``(col << 1 | 1, ...)``,
-    which keeps the order.  Candidates are tried cell by cell, ascending
-    vertex inside a cell, and the first cell whose extended prefix exceeds
-    the best code's prefix ends the level.  A child whose first cell already
-    fails that test is not entered.  Of interchangeable unplaced vertices
-    (equal open or closed neighborhoods) only the lowest is tried.
+    Each maximum independent set starts the search as one placed cell of
+    open order.  At a node, ``cells`` are the placed independent-set cells
+    in order (every later vertex is a cell of its own, kept in ``placed``)
+    and ``cols[y]`` is unplaced y's least column against them; the unplaced
+    vertices of least column are the candidates.  Placing w splits each
+    cell into ``(cell - N(w), cell & N(w))``, which reorders the bits of
+    ``cols[y]`` inside the span of a cell that w splits, and every column
+    then gains w's bit.  A node whose prefix exceeds the best code's is
+    cut.  Of interchangeable unplaced vertices (equal open or closed
+    neighborhoods) only the lowest is tried.
 
     With ``own``, g's own code, the search stops at the first code below it,
-    so the code returned equals ``own`` exactly when g is canonical.
+    so the code returned equals ``own`` exactly when g is canonical.  It
+    starts from g's own leading independent set, then from each maximum
+    independent set.  A node whose prefix is already below ``own``'s ends
+    it: any completion will do, and its code is computed from the order.
     """
     n, adj = g.n, g.adj
     if n == 1:
         return 0, [0]
     m = n * (n - 1) // 2
+    full = (1 << n) - 1
     # lower[w]: w's twins below it; w is tried only once they are all placed
-    lower = [twin & ((1 << w) - 1) for w, twin in enumerate(twin_masks(g))]
+    lower = _lower_twins(adj)
     stop = own is not None
-    best = _triangle_code(g) if own is None else own
+    best = own if stop else 1 << m
     best_order = list(range(n))
     placed: list[int] = []
 
-    def dfs(cells: list[tuple[int, int]], used: int, prefix: int, filled: int) -> bool:
-        """Search the completions of ``placed``; True stops the whole search."""
+    def dfs(cells: list[int], unplaced: int, cols: list[int], prefix: int, filled: int) -> bool:
+        """Search the completions of ``cells`` and ``placed``; True stops
+        the whole search."""
         nonlocal best, best_order
-        k = len(placed)
-        if k == n - 1:
-            # one vertex is left, and its column completes the code
-            ((col, last),) = cells
-            code = prefix << k | col
-            if code < best:
-                best = code
-                best_order = [*placed, last.bit_length() - 1]
+        k = n - unplaced.bit_count()
+        least = -1
+        cands: list[int] = []
+        rest = unplaced
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            y = low.bit_length() - 1
+            if lower[y] & unplaced:
+                continue
+            col = cols[y]
+            if least < 0 or col < least:
+                least = col
+                cands = [y]
+            elif col == least:
+                cands.append(y)
+        prefix = prefix << k | least
+        shift = m - filled - k
+        bound = best >> shift
+        if prefix > bound:
+            return False
+        if not shift:
+            # one vertex was left, and its column completes the code
+            if prefix < best:
+                w = cands[0]
+                best = prefix
+                best_order = [*_refined_order(cells, adj[w]), *placed, w]
                 return stop
             return False
-        filled += k
-        shift = m - filled
-        bound = best >> shift
-        for col, cell in cells:
-            new_prefix = prefix << k | col
-            if new_prefix > bound:
+        if stop and prefix < bound:
+            # every completion is below own: take the first
+            w = cands[0]
+            best_order = [*_refined_order(cells, adj[w]), *placed, w]
+            best_order += (y for y in range(n) if unplaced >> y & 1 and y != w)
+            best = _order_code(adj, best_order)
+            return True
+        for w in cands:
+            row = adj[w]
+            children = []
+            splits = []
+            end = k
+            for c in cells:
+                end -= c.bit_count()
+                c1 = c & row
+                if c1 and c1 != c:
+                    children += (c ^ c1, c1)
+                    splits.append((end, c, c1, c1.bit_count()))
+                else:
+                    children.append(c)
+            left = unplaced ^ 1 << w
+            child_cols = cols[:]
+            rest = left
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                y = low.bit_length() - 1
+                ry = adj[y]
+                col = cols[y]
+                for off, c, c1, s1 in splits:
+                    # y's ones in c move to the ends of c - N(w) and c & N(w)
+                    ones = (c & ry).bit_count()
+                    if not ones:
+                        continue
+                    ones1 = (c1 & ry).bit_count()
+                    if ones1 < s1 and ones1 < ones:
+                        col += ((((1 << ones - ones1) - 1) << s1) + (1 << ones1) - (1 << ones)) << off
+                child_cols[y] = col << 1 | (ry >> w & 1)
+            placed.append(w)
+            if dfs(children, left, child_cols, prefix, filled + k):
+                return True
+            placed.pop()
+            if prefix > best >> shift:
                 return False
-            while cell:
-                low = cell & -cell
-                cell ^= low
-                w = low.bit_length() - 1
-                if lower[w] & ~used:
-                    continue
-                row = adj[w]
-                off = ~(row | low)
-                # the child's first cell, where its own bound test starts
-                c, mask = cells[0] if cells[0][1] != low else cells[1]
-                first = c << 1 if mask & off else c << 1 | 1
-                if (new_prefix << k + 1 | first) > best >> (shift - k - 1):
-                    continue
-                children = []
-                for c, mask in cells:
-                    if mask & off:
-                        children.append((c << 1, mask & off))
-                    if mask & row:
-                        children.append((c << 1 | 1, mask & row))
-                placed.append(w)
-                if dfs(children, used | low, new_prefix, filled):
-                    return True
-                placed.pop()
-                bound = best >> shift
-                if new_prefix > bound:
-                    return False
         return False
 
-    dfs([(0, (1 << n) - 1)], 0, 0, 0)
+    def start(ind: int) -> bool:
+        """Search from the independent set ``ind`` placed as one cell."""
+        size = ind.bit_count()
+        unplaced = full & ~ind
+        cols = [(1 << (row & ind).bit_count()) - 1 for row in adj]
+        return dfs([ind], unplaced, cols, 0, size * (size - 1) // 2)
+
+    if stop:
+        # g's own leading independent set, vertices 0..z-1, most often
+        # settles it; a larger set gives a prefix below own's at once
+        z = 1
+        while z < n and not adj[z] & ((1 << z) - 1):
+            z += 1
+        own_set = (1 << z) - 1
+        if own_set != full and not start(own_set):
+            any(start(ind) for ind in _maximum_independent_sets(adj, lower) if ind != own_set)
+    else:
+        sets = _maximum_independent_sets(adj, lower)
+        if sets[0] == full:
+            best = 0
+        else:
+            any(start(ind) for ind in sets)
     del dfs  # the closure holds itself through its cell: free it now
     perm = [0] * n
     for position, vertex in enumerate(best_order):

@@ -25,13 +25,13 @@ A decision runs these steps in order, and the first that answers wins:
    is).  A complete closure answers True at once; an incomplete one decides
    nothing.  Only ``is_hamiltonian`` takes this step;
 2. a vertex of degree < 2, disconnection, or forced edges at degree-2
-   vertices closing a cycle shorter than n (u-v path queries check only
-   connectivity);
+   vertices that meet three times at a vertex or close a cycle shorter than
+   n.  A u-v path query asks this of G plus a new vertex joined to u and v
+   only, which has a hamiltonian cycle iff G has a hamiltonian u-v path;
 3. the scattering certificate: a set S whose removal leaves more than |S|
    components, so G is not 1-tough and has no hamiltonian cycle (Chvatal,
    "Tough graphs and hamiltonian circuits", 1973).  A u-v path query applies
-   it to G plus a new vertex joined to u and v only, which has a hamiltonian
-   cycle iff G has a hamiltonian u-v path.  The candidate sets are each twin
+   it to the same G plus a vertex.  The candidate sets are each twin
    class's outside neighborhood and the neighborhood of each vertex of
    minimum degree, which include the separators of H, H', K' and F3;
 4. the search.
@@ -43,6 +43,7 @@ paths, path partitions) do not depend on whether either decided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from nonham.graphs import Graph, add_edge, bits, twin_masks
 
@@ -118,15 +119,15 @@ def _capacity_classes(g: Graph, twin: list[int]) -> list[tuple[int, int, bool]]:
     return out
 
 
-def _forced_edge_scan(g: Graph) -> tuple[int, ...] | bool:
-    """Resolve degree-2 forced edges.
+def _forced_edge_scan(n: int, rows: Sequence[int]) -> tuple[int, ...] | bool:
+    """Resolve degree-2 forced edges of the graph with adjacency ``rows`` on
+    ``n`` vertices, up to ``MAX_ORDER`` + 1 so that a graph plus one vertex fits.
 
     Returns a full cycle (tuple) if the forced edges already form one, False
     if they make a hamiltonian cycle impossible, and True otherwise.
     """
-    n = g.n
     forced = [0] * n
-    for v, row in enumerate(g.adj):
+    for v, row in enumerate(rows):
         if row.bit_count() == 2:
             for u in bits(row):
                 forced[v] |= 1 << u
@@ -156,6 +157,18 @@ def _forced_edge_scan(g: Graph) -> tuple[int, ...] | bool:
                 return False
             return _walk_cycle(forced)
     return True
+
+
+def _path_forced_out(g: Graph, u: int, v: int) -> bool:
+    """True when g plus a new vertex joined to u and v only has a vertex of
+    degree < 2, or forced edges that rule out a hamiltonian cycle: then g
+    has no hamiltonian u-v path.  False says nothing.  A forced full cycle
+    is left to the search, which finds the same unique path."""
+    n = g.n
+    rows = [*g.adj, 1 << u | 1 << v]
+    rows[u] |= 1 << n
+    rows[v] |= 1 << n
+    return any(row.bit_count() < 2 for row in rows) or _forced_edge_scan(n + 1, rows) is False
 
 
 def _walk_cycle(forced: list[int]) -> tuple[int, ...]:
@@ -329,7 +342,7 @@ def _search_cycle(g: Graph) -> tuple[int, ...] | None:
         return None
     if not _connected(g):
         return None
-    pre = _forced_edge_scan(g)
+    pre = _forced_edge_scan(n, g.adj)
     if pre is False:
         return None
     if pre is not True:
@@ -363,7 +376,7 @@ def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
     for w in (u, v):
         if not 0 <= w < g.n:
             raise ValueError(f"vertex {w} out of range")
-    if not _connected(g):
+    if not _connected(g) or _path_forced_out(g, u, v):
         return None
     twin = twin_masks(g)
     classes = _capacity_classes(g, twin)

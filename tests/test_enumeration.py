@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import oracle_class_count, oracle_min_code, random_graph
+from helpers import oracle_class_count, oracle_min_code, random_graph, reference_min_code
 from nonham.classify import is_isomorphic
 from nonham.enumeration import (
     _min_code_perm,
@@ -14,7 +14,7 @@ from nonham.enumeration import (
     enumerate_nonisomorphic,
     stream_graph6,
 )
-from nonham.families import build_GprimeD, build_Gprime2, build_Hprime
+from nonham.families import FAMILY_TAGS, Family, build_GprimeD, build_Gprime2, build_Hprime
 from nonham.graphs import (
     Graph6Error,
     _triangle_code,
@@ -121,6 +121,39 @@ def test_min_code_matches_the_permutation_oracle():
     for _ in range(300):
         g = random_graph(rng, 7, rng.random())
         _check_min_code(g, oracle_min_code(g))
+
+
+def test_min_code_matches_the_reference_search():
+    # the branch and bound over all placement orders, which the search from
+    # a maximum independent set replaced, on relabelled corpus graphs, seeded
+    # G(n, p) and relabelled family members
+    rng = random.Random(47)
+
+    def check(g):
+        code, perm = _min_code_perm(g)
+        assert code == reference_min_code(g), g
+        assert _triangle_code(relabel(g, perm)) == code
+
+    for g in stream_graph6(str(DATA8)):
+        check(relabel(g, rng.sample(range(8), 8)))
+    for n in range(9, 17):
+        for p in (0.15, 0.3, 0.5, 0.7, 0.85):
+            # beyond n = 13 the reference takes 5-100 s on six G(n, 0.15)
+            if p > 0.15 or n <= 13:
+                for _ in range(6):
+                    check(random_graph(rng, n, p))
+    # a family without d builds the same member for every d: one per label
+    members = {}
+    for tag in FAMILY_TAGS:
+        for n in range(8, 21):
+            for d in range(n):
+                fam = Family(tag, n, d)
+                if fam.is_valid():
+                    members.setdefault(fam.label(), fam)
+    assert len(members) == 315
+    for fam in members.values():
+        g = fam.build()
+        check(relabel(g, rng.sample(range(g.n), g.n)))
 
 
 def test_filters():

@@ -24,6 +24,7 @@ from nonham.hamilton import (
     _capacity_classes,
     _closure_complete,
     _connected,
+    _path_forced_out,
     _scattered,
     find_hamiltonian_cycle,
     hamiltonian_path_between,
@@ -311,6 +312,44 @@ def test_scattering_certificate_never_fires_on_hamiltonian_input():
     assert not _scattered(c4, _classes(c4))
     assert _scattered(c4, _classes(c4), 0, 2)
     assert not _scattered(c4, _classes(c4), 0, 1)
+
+
+def test_path_forced_edge_check_never_fires_on_a_path():
+    # the degree and forced-edge checks on g plus a vertex joined to u and v,
+    # called directly on every ordered pair of every connected class of order
+    # 2..7; the fire count pins how much they decide
+    fires = no_path = 0
+    for n in range(2, 8):
+        for g in filter(_connected, enumerate_nonisomorphic(n)):
+            for u in range(n):
+                ends = dp_path_ends(g, u)
+                for v in range(n):
+                    if v == u:
+                        continue
+                    fired = _path_forced_out(g, u, v)
+                    if ends >> v & 1:
+                        assert not fired, (g, u, v)
+                    else:
+                        no_path += 1
+                        fires += fired
+    assert (fires, no_path) == (18872, 20896)
+
+
+def test_path_forced_edges_settle_family_members_without_search(monkeypatch):
+    # the degree-2 vertices of G'2 and G'_D force three edges at one vertex
+    calls = []
+    search = hamilton._extend_path
+    monkeypatch.setattr(
+        hamilton, "_extend_path", lambda *args: calls.append(args) or search(*args)
+    )
+    for seed, g in enumerate([build_Gprime2(40), build_GprimeD(40, 2)]):
+        h = _relabelled(g, seed)
+        low = [x for x in range(h.n) if h.degree(x) == 2]
+        assert len(low) == 3
+        rest = [x for x in range(h.n) if x not in low]
+        for u, v in [(rest[0], rest[1]), (rest[-1], rest[0]), (rest[5], rest[20])]:
+            assert hamiltonian_path_between(h, u, v) is None
+    assert calls == []
 
 
 def test_certificate_settles_family_members_without_search(monkeypatch):
