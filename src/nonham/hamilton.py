@@ -1,51 +1,55 @@
 """Hamiltonicity search, saturation closure, and degree-based certificates.
 
-One exact backtracking kernel on bitmask adjacency rows answers both cycle
-and u-v path queries.  It grows a path from a start vertex through a cover
-set and closes it at an anchor outside the unvisited set: a cycle starts and
-closes at vertex 0 and covers every vertex, with a fixed orientation (second
-vertex below last) to halve the tree; a u-v path starts at u, covers every
-vertex but v, and closes at v.  The kernel prunes on:
-
-* an anchor with no neighbor left among the unvisited vertices and the
-  current path end;
-* any unvisited vertex with fewer than two usable path neighbors (unvisited
-  vertices, the current path end, or the anchor);
-* twin-class capacity: unvisited members of a class of open twins need two
-  path edges each, a class of closed twins two in all, and only the class's
-  external neighborhood, the path end and the anchor can supply them;
-* interchangeable vertices: candidates with an unvisited lower-indexed twin
-  (identical open or closed neighborhood) are skipped, which collapses the
-  search inside large cliques and independent sets.
-
-A decision runs these steps in order, and the first that answers wins:
+Every query is a cycle query.  G has a hamiltonian u-v path iff G + z has a
+hamiltonian cycle, where z is a new vertex joined to u and v only, and V(G)
+splits into at most t paths iff G + K_t has one, where the t new vertices
+are joined to each other and to every vertex of G.  A decision runs these
+steps in order, and the first that answers wins:
 
 1. the Chvatal closure (Bondy & Chvatal 1976: G is hamiltonian iff the graph
    obtained by repeatedly joining nonadjacent u, v with d(u) + d(v) >= n
    is).  A complete closure answers True at once; an incomplete one decides
    nothing.  Only ``is_hamiltonian`` takes this step;
-2. a vertex of degree < 2, disconnection, or forced edges at degree-2
+2. the screen, run on G, G + z or G + K_t, whichever graph's cycle is asked
+   for: a vertex of degree < 2, disconnection, or forced edges at degree-2
    vertices that meet three times at a vertex or close a cycle shorter than
-   n.  A u-v path query asks this of G plus a new vertex joined to u and v
-   only, which has a hamiltonian cycle iff G has a hamiltonian u-v path;
-3. the scattering certificate: a set S whose removal leaves more than |S|
-   components, so G is not 1-tough and has no hamiltonian cycle (Chvatal,
-   "Tough graphs and hamiltonian circuits", 1973).  A u-v path query applies
-   it to the same G plus a vertex.  The candidate sets are each twin
-   class's outside neighborhood and the neighborhood of each vertex of
-   minimum degree, which include the separators of H, H', K' and F3;
-4. the search.
+   the order (forced edges that close a full cycle answer with that cycle);
+   then the scattering certificate, a set S whose removal leaves more than
+   |S| components, so the graph is not 1-tough and has no hamiltonian cycle
+   (Chvatal, "Tough graphs and hamiltonian circuits", 1973).  The candidate
+   sets are each twin class's outside neighborhood and the neighborhood of
+   each vertex of minimum degree, which include the separators of H, H',
+   K' and F3;
+3. the search, one exact backtracking kernel on bitmask adjacency rows.  It
+   grows a path from a start vertex through a cover set and closes it at an
+   anchor outside the unvisited set: a cycle starts and closes at vertex 0
+   and covers every vertex, with a fixed orientation (second vertex below
+   last) to halve the tree; a u-v path starts at u in G + z, covers every
+   vertex but v and z, and closes at v.  The kernel prunes on:
+
+   * an anchor with no neighbor left among the unvisited vertices and the
+     current path end;
+   * any unvisited vertex with fewer than two usable path neighbors
+     (unvisited vertices, the current path end, or the anchor);
+   * twin-class capacity: unvisited members of a class of open twins need
+     two path edges each, a class of closed twins two in all, and only the
+     class's external neighborhood, the path end and the anchor can supply
+     them;
+   * interchangeable vertices: candidates with an unvisited lower-indexed
+     twin (identical open or closed neighborhood) are skipped, which
+     collapses the search inside large cliques and independent sets.
 
 The closure and the certificate give no witness, so witnesses (cycles,
-paths, path partitions) do not depend on whether either decided.
+paths, path partitions) do not depend on whether either decided.  G + z and
+G + K_t are built without ``Graph``'s order check, since they may have more
+than ``MAX_ORDER`` vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from nonham.graphs import Graph, add_edge, bits, twin_masks
+from nonham.graphs import Graph, _unchecked_graph, add_edge, bits, twin_masks
 
 
 @dataclass(frozen=True)
@@ -119,15 +123,16 @@ def _capacity_classes(g: Graph, twin: list[int]) -> list[tuple[int, int, bool]]:
     return out
 
 
-def _forced_edge_scan(n: int, rows: Sequence[int]) -> tuple[int, ...] | bool:
-    """Resolve degree-2 forced edges of the graph with adjacency ``rows`` on
-    ``n`` vertices, up to ``MAX_ORDER`` + 1 so that a graph plus one vertex fits.
+def _forced_edge_scan(g: Graph) -> tuple[int, ...] | bool:
+    """Resolve the forced edges of g: both edges at each vertex of degree 2.
 
     Returns a full cycle (tuple) if the forced edges already form one, False
-    if they make a hamiltonian cycle impossible, and True otherwise.
+    if they make a hamiltonian cycle impossible, and True otherwise.  The
+    order of g may pass ``MAX_ORDER``, as G + z and G + K_t can.
     """
+    n = g.n
     forced = [0] * n
-    for v, row in enumerate(rows):
+    for v, row in enumerate(g.adj):
         if row.bit_count() == 2:
             for u in bits(row):
                 forced[v] |= 1 << u
@@ -159,18 +164,6 @@ def _forced_edge_scan(n: int, rows: Sequence[int]) -> tuple[int, ...] | bool:
     return True
 
 
-def _path_forced_out(g: Graph, u: int, v: int) -> bool:
-    """True when g plus a new vertex joined to u and v only has a vertex of
-    degree < 2, or forced edges that rule out a hamiltonian cycle: then g
-    has no hamiltonian u-v path.  False says nothing.  A forced full cycle
-    is left to the search, which finds the same unique path."""
-    n = g.n
-    rows = [*g.adj, 1 << u | 1 << v]
-    rows[u] |= 1 << n
-    rows[v] |= 1 << n
-    return any(row.bit_count() < 2 for row in rows) or _forced_edge_scan(n + 1, rows) is False
-
-
 def _walk_cycle(forced: list[int]) -> tuple[int, ...]:
     # forced is 2-regular and spanning here, so the walk closes at vertex 0
     cycle = [0]
@@ -186,17 +179,10 @@ def _walk_cycle(forced: list[int]) -> tuple[int, ...]:
     return tuple(cycle)
 
 
-def _scattered(
-    g: Graph, classes: list[tuple[int, int, bool]], u: int = -1, v: int = -1
-) -> bool:
+def _scattered(g: Graph, classes: list[tuple[int, int, bool]]) -> bool:
     """True when removing some candidate set S from the connected graph g
-    leaves more than |S| components, which rules out a hamiltonian cycle;
-    with endpoints u and v, the same count taken in g plus a vertex joined to
-    u and v only, which rules out a hamiltonian u-v path.  False says nothing.
-
-    The new vertex is one more component when u and v both lie in S, and
-    joins two components into one when neither does and they lie apart.
-    """
+    leaves more than |S| components, which rules out a hamiltonian cycle.
+    False says nothing."""
     n = g.n
     adj = g.adj
     deg = [row.bit_count() for row in adj]
@@ -214,30 +200,19 @@ def _scattered(
         for x, row in enumerate(adj)
         if deg[x] == low and not clique_members >> x & 1
     )
-    ends = 1 << u | 1 << v if u >= 0 else 0
-    # the count is at most n + 1 - |S| with the new vertex, n - |S| without
-    cap = n + (u >= 0)
     full = (1 << n) - 1
     for s in cands:
         size = s.bit_count()
-        if not s or 2 * size >= cap:
+        # g - S has at most n - |S| components
+        if not s or 2 * size >= n:
             continue
-        both_in = ends and ends & s == ends
-        neither_in = ends and not ends & s
-        limit = size - 1 if both_in else size
         rest = full & ~s
-        # grow u's component first, so the merge is known after one component
-        seed = 1 << u if neither_in else rest & -rest
         comps = 0
-        while seed:
-            comp = _component(adj, seed, rest)
-            rest ^= comp
+        while rest:
+            rest ^= _component(adj, rest & -rest, rest)
             comps += 1
-            if neither_in and comps == 1 and not comp >> v & 1:
-                limit += 1
-            if comps > limit:
+            if comps > size:
                 return True
-            seed = rest & -rest
     return False
 
 
@@ -248,14 +223,13 @@ def _extend_path(
     start: int,
     anchor: int,
     cover: int,
-    oriented: bool,
 ) -> list[int] | None:
     """A path from ``start`` through every vertex of the mask ``cover`` whose
     last vertex is adjacent to ``anchor``, or None.
 
     ``anchor`` is never unvisited: it is ``start`` itself (cycles) or a vertex
-    outside ``cover`` (u-v paths).  With ``oriented``, the path must also have
-    its second vertex below its last, so each cycle is found in one direction.
+    outside ``cover`` (u-v paths).  A cycle's path must also have its second
+    vertex below its last, so each cycle is found in one direction.
     ``twin`` and ``classes`` are g's ``twin_masks`` and capacity classes.
     """
     adj = g.adj
@@ -268,7 +242,7 @@ def _extend_path(
         if not adj[anchor] & (rem | here):
             return False
         if not rem:
-            return not oriented or path[1] < path[-1]
+            return start != anchor or path[1] < path[-1]
         for members, outside, is_true in classes:
             unvisited = members & rem
             if not unvisited:
@@ -334,24 +308,34 @@ def _closure_complete(g: Graph) -> bool:
     return not missing
 
 
-def _search_cycle(g: Graph) -> tuple[int, ...] | None:
-    n = g.n
-    if n < 3:
+def _screen(g: Graph) -> tuple | None:
+    """Step 2 of the decision: the checks that run on g before the search.
+
+    Returns None when one of them rules out a hamiltonian cycle of g, and
+    otherwise (cycle, twin, classes): the cycle when forced edges already
+    form one, with twin and classes None; else None, with g's twin masks and
+    capacity classes for the search.
+    """
+    if g.n < 3 or any(row.bit_count() < 2 for row in g.adj) or not _connected(g):
         return None
-    if any(row.bit_count() < 2 for row in g.adj):
-        return None
-    if not _connected(g):
-        return None
-    pre = _forced_edge_scan(n, g.adj)
+    pre = _forced_edge_scan(g)
     if pre is False:
         return None
     if pre is not True:
-        return pre
+        return pre, None, None
     twin = twin_masks(g)
     classes = _capacity_classes(g, twin)
-    if _scattered(g, classes):
+    return None if _scattered(g, classes) else (None, twin, classes)
+
+
+def _search_cycle(g: Graph) -> tuple[int, ...] | None:
+    screened = _screen(g)
+    if screened is None:
         return None
-    path = _extend_path(g, twin, classes, 0, 0, (1 << n) - 1, oriented=True)
+    forced, twin, classes = screened
+    if forced:
+        return forced
+    path = _extend_path(g, twin, classes, 0, 0, (1 << g.n) - 1)
     return None if path is None else tuple(path)
 
 
@@ -370,20 +354,31 @@ def find_hamiltonian_cycle(g: Graph) -> list[int] | None:
 
 
 def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
-    """A hamiltonian path from u to v, or None."""
+    """A hamiltonian path from u to v, or None.
+
+    The question is put to g + z, where z = n is joined to u and v only: its
+    hamiltonian cycles are the u-v paths of g closed through z.
+    """
     if u == v:
         raise ValueError("path endpoints must differ")
     for w in (u, v):
         if not 0 <= w < g.n:
             raise ValueError(f"vertex {w} out of range")
-    if not _connected(g) or _path_forced_out(g, u, v):
+    n = g.n
+    rows = [*g.adj, 1 << u | 1 << v]
+    rows[u] |= 1 << n
+    rows[v] |= 1 << n
+    gz = _unchecked_graph(n + 1, tuple(rows))
+    screened = _screen(gz)
+    if screened is None:
         return None
-    twin = twin_masks(g)
-    classes = _capacity_classes(g, twin)
-    if _scattered(g, classes, u, v):
-        return None
-    cover = ((1 << g.n) - 1) ^ 1 << v
-    path = _extend_path(g, twin, classes, u, v, cover, oriented=False)
+    forced, twin, classes = screened
+    if forced:
+        # forced edges make this g + z's only hamiltonian cycle
+        at = forced.index(n)
+        path = forced[at + 1:] + forced[:at]
+        return list(path if path[0] == u else path[::-1])
+    path = _extend_path(gz, twin, classes, u, v, ((1 << n) - 1) ^ 1 << v)
     return None if path is None else path + [v]
 
 
@@ -430,7 +425,8 @@ def path_partition(h: Graph, t: int) -> PathPartition | None:
     """Partition V(h) into at most t paths via a universal t-clique.
 
     Adds a clique of t universal vertices, finds a hamiltonian cycle of the
-    augmented graph, and deletes the clique.  Guaranteed to succeed whenever
+    augmented graph, and deletes the clique.  A t above n(h) is taken as
+    n(h), which already allows every vertex its own path.  Guaranteed to succeed whenever
     every nonedge xy of h satisfies d(x) + d(y) >= n(h) - t; returns None only
     when the augmented graph has no hamiltonian cycle.
     """
@@ -438,22 +434,20 @@ def path_partition(h: Graph, t: int) -> PathPartition | None:
         raise ValueError("path_partition needs t >= 1")
     if h.n == 1:
         return PathPartition(((0,),))
-    aug_n = h.n + t
-    full_aug = (1 << aug_n) - 1
-    rows = list(h.adj) + [0] * t
-    for v in range(h.n):
-        rows[v] |= ((1 << t) - 1) << h.n
-    for v in range(h.n, aug_n):
-        rows[v] = full_aug ^ (1 << v)
-    cyc = _search_cycle(Graph(aug_n, tuple(rows)))
+    n = h.n
+    t = min(t, n)
+    full = (1 << n + t) - 1
+    clique = full ^ (1 << n) - 1
+    rows = [row | clique for row in h.adj] + [full ^ 1 << x for x in range(n, n + t)]
+    cyc = _search_cycle(_unchecked_graph(n + t, tuple(rows)))
     if cyc is None:
         return None
-    first_added = next(i for i, v in enumerate(cyc) if v >= h.n)
+    first_added = next(i for i, v in enumerate(cyc) if v >= n)
     rotated = cyc[first_added:] + cyc[:first_added]
     paths: list[tuple[int, ...]] = []
     run: list[int] = []
     for v in rotated:
-        if v >= h.n:
+        if v >= n:
             if run:
                 paths.append(tuple(run))
                 run = []

@@ -5,7 +5,7 @@ import sys
 from nonham import cli, counting
 from nonham.cli import main
 from nonham.families import build_H
-from nonham.graphs import graph6_decode, graph6_encode
+from nonham.graphs import complete_graph, graph6_decode, graph6_encode
 
 
 def run_cli(args, stdin=""):
@@ -197,6 +197,20 @@ def test_pathcover_none():
     proc = run_cli(["pathcover", "--t", "1"], stdin="C`\n")  # 2K2, one path
     assert proc.returncode == 0
     assert proc.stdout.strip() == "none"
+
+
+def test_pathcover_on_order_64(tmp_path, capsys):
+    # K64 plus t universal vertices has more than 64 vertices; a t beyond
+    # the order is answered as t = n
+    k64 = tmp_path / "k64.g6"
+    k64.write_text(graph6_encode(complete_graph(64)) + "\n", encoding="ascii")
+    outs = []
+    for t in ("1", "64", "1000000"):
+        assert main(["pathcover", "--t", t, "--in", str(k64)]) == 0
+        outs.append(capsys.readouterr().out)
+    paths = json.loads(outs[0])
+    assert len(paths) == 1 and sorted(paths[0]) == list(range(64))
+    assert outs[1] == outs[2]
 
 
 def test_worker_env_override(tmp_path):

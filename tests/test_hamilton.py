@@ -24,8 +24,8 @@ from nonham.hamilton import (
     _capacity_classes,
     _closure_complete,
     _connected,
-    _path_forced_out,
     _scattered,
+    _screen,
     find_hamiltonian_cycle,
     hamiltonian_path_between,
     is_hamiltonian,
@@ -271,9 +271,9 @@ def _relabelled(g, seed):
 
 
 def test_scattering_certificate_never_fires_on_hamiltonian_input():
-    # called directly, on every connected class (both callers check
+    # called directly, on every connected class (the screen checks
     # connectivity first): the closure would hide most hamiltonian classes
-    # from an end-to-end check.  The fire counts pin how much each rule decides.
+    # from an end-to-end check.  The fire count pins how much it decides.
     from helpers import REPO_GRAPHS8
     from nonham.enumeration import stream_graph6
 
@@ -289,50 +289,44 @@ def test_scattering_certificate_never_fires_on_hamiltonian_input():
                 fires += fired
     assert (fires, nonhamiltonian) == (5296, 5472)
 
-    fires = no_path = 0
+
+def _plus_z(g, u, v):
+    """g plus a new vertex z = n joined to u and v only."""
+    return build_from_edges(g.n + 1, g.edges() + [(u, g.n), (v, g.n)])
+
+
+def test_screen_on_g_plus_z_never_settles_a_pair_with_a_path():
+    # the screen of a u-v path query, called directly on g + z for every
+    # ordered pair of every connected class of order 2..7.  The counts pin
+    # how many pairs without a path the whole screen settles, and how many
+    # the scattering certificate settles alone
+    settled = scattered = no_path = 0
     for n in range(2, 8):
         for g in filter(_connected, enumerate_nonisomorphic(n)):
-            classes = _classes(g)
             for u in range(n):
                 ends = dp_path_ends(g, u)
                 for v in range(n):
                     if v == u:
                         continue
-                    fired = _scattered(g, classes, u, v)
+                    gz = _plus_z(g, u, v)
+                    out = _screen(gz) is None
+                    certified = _scattered(gz, _classes(gz))
                     if ends >> v & 1:
-                        assert not fired, (g, u, v)
+                        assert not out and not certified, (g, u, v)
                     else:
                         no_path += 1
-                        fires += fired
-    assert (fires, no_path) == (19486, 20896)
+                        settled += out
+                        scattered += certified
+    assert (settled, scattered, no_path) == (20358, 19780, 20896)
 
-    # C4 between opposite vertices: S = {u, v} leaves two components, and
-    # the new vertex joined to u and v only is a third
+    # C4 between opposite vertices: in C4 + z, S = {u, v} leaves three
+    # components, the two other vertices and z
     c4 = cycle_graph(4)
     assert not _scattered(c4, _classes(c4))
-    assert _scattered(c4, _classes(c4), 0, 2)
-    assert not _scattered(c4, _classes(c4), 0, 1)
-
-
-def test_path_forced_edge_check_never_fires_on_a_path():
-    # the degree and forced-edge checks on g plus a vertex joined to u and v,
-    # called directly on every ordered pair of every connected class of order
-    # 2..7; the fire count pins how much they decide
-    fires = no_path = 0
-    for n in range(2, 8):
-        for g in filter(_connected, enumerate_nonisomorphic(n)):
-            for u in range(n):
-                ends = dp_path_ends(g, u)
-                for v in range(n):
-                    if v == u:
-                        continue
-                    fired = _path_forced_out(g, u, v)
-                    if ends >> v & 1:
-                        assert not fired, (g, u, v)
-                    else:
-                        no_path += 1
-                        fires += fired
-    assert (fires, no_path) == (18872, 20896)
+    c4z = _plus_z(c4, 0, 2)
+    assert _scattered(c4z, _classes(c4z))
+    c4z = _plus_z(c4, 0, 1)
+    assert not _scattered(c4z, _classes(c4z))
 
 
 def test_path_forced_edges_settle_family_members_without_search(monkeypatch):
@@ -394,6 +388,29 @@ def test_path_between_vs_subset_dp_on_family_members():
                     assert got[0] == u and got[-1] == v
                     assert sorted(got) == list(range(g.n))
                     assert all(g.has_edge(a, b) for a, b in zip(got, got[1:]))
+
+
+def test_path_between_on_order_64():
+    # g + z has 65 vertices.  Removing D (vertices 0..20) from H(64, 21)
+    # leaves 22 blocks, the clique C (21..42) and each vertex of b (43..63),
+    # so a hamiltonian path alternates between the blocks and the 21 vertices
+    # of D: it exists iff u and v lie in two different blocks
+    perm = list(range(64))
+    random.Random(7).shuffle(perm)
+    h = relabel(build_H(64, 21), perm)
+    block = {perm[x]: None if x < 21 else 21 if x < 43 else x for x in range(64)}
+    rng = random.Random(8)
+    found = 0
+    for _ in range(40):
+        u, v = rng.sample(range(64), 2)
+        path = hamiltonian_path_between(h, u, v)
+        blocks = {block[u], block[v]}
+        assert (path is not None) == (None not in blocks and len(blocks) == 2), (u, v)
+        if path is not None:
+            found += 1
+            assert path[0] == u and path[-1] == v and sorted(path) == list(range(64))
+            assert all(h.has_edge(a, b) for a, b in zip(path, path[1:]))
+    assert 0 < found < 40
 
 
 def test_saturate_fixed_point_on_H():
@@ -497,6 +514,47 @@ def test_path_partition_degree_hypothesis():
                     assert part is not None, (g, t)
                     part.validate(g)
                     assert len(part.paths) <= t
+
+
+def test_path_partition_on_order_64():
+    # h + K_t has more than 64 vertices
+    members = [complete_graph(64), build_H(64, 21), build_Kprime(64, 2), build_F3(64)]
+    for seed, g in enumerate(members):
+        h = _relabelled(g, seed)
+        for t in (1, 2):
+            part = path_partition(h, t)
+            part.validate(h)
+            assert len(part.paths) == 1
+
+
+def _runs(cycle, n):
+    """The paths a cycle leaves when its vertices >= n are deleted."""
+    at = next(i for i, x in enumerate(cycle) if x >= n)
+    runs, run = [], []
+    for x in cycle[at:] + cycle[:at]:
+        if x < n:
+            run.append(x)
+        elif run:
+            runs.append(tuple(run))
+            run = []
+    if run:
+        runs.append(tuple(run))
+    return tuple(runs)
+
+
+def test_path_partition_with_more_than_n_paths():
+    # n separators already allow n one-vertex paths: path_partition answers
+    # a larger t as t = n, and on these classes the cycle of the full h + K_t
+    # leaves the same paths
+    assert path_partition(complete_graph(1), 10**6).paths == ((0,),)
+    for n in range(2, 7):
+        for g in enumerate_nonisomorphic(n):
+            want = path_partition(g, n)
+            assert path_partition(g, 10**6) == want
+            for t in (n + 1, n + 3, 2 * n):
+                clique = [(x, y) for y in range(n, n + t) for x in range(y)]
+                aug = build_from_edges(n + t, g.edges() + clique)
+                assert _runs(find_hamiltonian_cycle(aug), n) == want.paths, (g, t)
 
 
 def test_path_partition_validate_rejects_bad():
