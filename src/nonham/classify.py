@@ -20,13 +20,16 @@ F_3(n)     4     3           a matching       at most 2 vertices
 
 ``match_template`` searches for B directly (for K', as components of g - x
 for a cut vertex x) and returns the witness in ``Family.build()``'s vertex
-layout; ``classify`` runs it against every template of a degree bound.
+layout.  ``_fits`` runs it and checks every witness against the built
+template; ``classify`` and the sweeps of ``nonham.verify`` ask it which
+templates a graph fits, and ``_is_member`` whether a graph is a copy of one.
 
 ``spanning_subgraph_of`` is the generic search for a bijection between
 equal-order vertex sets carrying every edge of a graph into any template.
 Degree-compatibility pruning (a vertex may only map to a template vertex of
 at least its degree) cuts its search; candidates are tried in ascending
-template degree.
+template degree.  It and ``is_isomorphic`` are the tests' oracle; no sweep
+calls them.
 """
 
 from __future__ import annotations
@@ -289,7 +292,8 @@ class ClassificationResult:
         return [fam.label() for fam in self.matched]
 
 
-def _template_set(n: int, d: int) -> list[Family]:
+def _template_set(n: int, d: int) -> tuple[list[Family], list[Family]]:
+    """The templates of degree bound d at order n, as (valid, skipped)."""
     members = [
         Family("h", n, d),
         Family("h", n, d + 1),
@@ -301,7 +305,31 @@ def _template_set(n: int, d: int) -> list[Family]:
         members.append(Family("gprime2", n, 2))
     if d == 3:
         members.append(Family("f3", n, 3))
-    return members
+    return [f for f in members if f.is_valid()], [f for f in members if not f.is_valid()]
+
+
+def _fits(g: Graph, families: list[Family]) -> dict[Family, list[int]]:
+    """The families g is a spanning subgraph of, in the order given, each with
+    its witness from ``match_template``, checked to be a bijection that
+    carries every edge of g onto an edge of the built template."""
+    found: dict[Family, list[int]] = {}
+    for fam in families:
+        mapping = match_template(g, fam)
+        if mapping is None:
+            continue
+        template = _template(fam)
+        if sorted(mapping) != list(range(g.n)):
+            raise AssertionError("witness is not a bijection")
+        if not all(template.has_edge(mapping[u], mapping[v]) for u, v in g.edges()):
+            raise AssertionError("witness does not preserve an edge")
+        found[fam] = mapping
+    return found
+
+
+def _is_member(g: Graph, fam: Family) -> bool:
+    """Whether g is a copy of ``fam.build()``: a spanning subgraph with as
+    many edges is the template itself."""
+    return g.edge_count() == _template(fam).edge_count() and bool(_fits(g, [fam]))
 
 
 def classify(g: Graph, d: int) -> ClassificationResult:
@@ -313,24 +341,6 @@ def classify(g: Graph, d: int) -> ClassificationResult:
     n = g.n
     if not 1 <= d <= (n - 1) // 2:
         raise ValueError(f"classify needs 1 <= d <= {(n - 1) // 2}")
-    matched: list[Family] = []
-    witnesses: dict[Family, list[int]] = {}
-    skipped: list[Family] = []
-    for fam in _template_set(n, d):
-        if not fam.is_valid():
-            skipped.append(fam)
-            continue
-        found = match_template(g, fam)
-        if found is not None:
-            _check_witness(g, _template(fam), found)
-            matched.append(fam)
-            witnesses[fam] = found
-    return ClassificationResult(tuple(matched), witnesses, tuple(skipped))
-
-
-def _check_witness(g: Graph, template: Graph, mapping: list[int]) -> None:
-    if sorted(mapping) != list(range(g.n)):
-        raise AssertionError("witness is not a bijection")
-    for u, v in g.edges():
-        if not template.has_edge(mapping[u], mapping[v]):
-            raise AssertionError("witness does not preserve an edge")
+    valid, skipped = _template_set(n, d)
+    witnesses = _fits(g, valid)
+    return ClassificationResult(tuple(witnesses), witnesses, tuple(skipped))

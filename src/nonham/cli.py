@@ -68,22 +68,28 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--a {text} has a zero denominator") from None
+
+
+# expression -> (formula, its flags in the formula's positional order)
+_EVAL = {
+    "h": (formulas.h, ("n", "d")),
+    "hk": (formulas.h_k, ("n", "x", "k")),
+    "e": (formulas.e_bound, ("n", "d")),
+    "d0": (formulas.d0, ("n",)),
+    "n0": (formulas.n0_threshold, ("d", "t")),
+    "falling": (formulas.falling_factorial, ("k", "t")),
+    "binom": (lambda a, b: formulas.gen_binom(_rational(a), b), ("a", "b")),
+}
+
+
 def _cmd_eval(args) -> int:
-    if args.expr == "h":
-        print(formulas.h(args.n, args.d))
-    elif args.expr == "hk":
-        print(formulas.h_k(args.n, args.x, args.k))
-    elif args.expr == "e":
-        print(formulas.e_bound(args.n, args.d))
-    elif args.expr == "d0":
-        print(formulas.d0(args.n))
-    elif args.expr == "n0":
-        print(formulas.n0_threshold(args.d, args.t))
-    elif args.expr == "falling":
-        print(formulas.falling_factorial(args.k, args.t))
-    else:
-        val = formulas.gen_binom(Fraction(args.a), args.b)
-        print(val)
+    formula, flags = _EVAL[args.expr]
+    print(formula(*(getattr(args, name) for name in flags)))
     return 0
 
 
@@ -223,27 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a bound formula exactly")
     ev = p.add_subparsers(dest="expr", required=True)
-    q = ev.add_parser("h")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q = ev.add_parser("hk")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--x", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q = ev.add_parser("e")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q = ev.add_parser("d0")
-    q.add_argument("--n", type=int, required=True)
-    q = ev.add_parser("n0")
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--t", type=int, required=True)
-    q = ev.add_parser("falling")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--t", type=int, required=True)
-    q = ev.add_parser("binom")
-    q.add_argument("--a", required=True, help="integer or rational like 5/2")
-    q.add_argument("--b", type=int, required=True)
+    for expr, (_, flags) in _EVAL.items():
+        q = ev.add_parser(expr)
+        for name in flags:
+            if name == "a":
+                q.add_argument("--a", required=True, help="integer or rational like 5/2")
+            else:
+                q.add_argument(f"--{name}", type=int, required=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ham", help="hamiltonicity queries")

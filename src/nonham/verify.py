@@ -9,9 +9,11 @@ strict, non-strict bounds stay non-strict.
 The sweeps differ only in their entry of ``_EXAMINERS``, which builds an
 examiner from the sweep's parameters once per stripe, with its bounds and
 templates.  Three shapes cover the six theorems: a count held to a bound,
-attained only by given extremal graphs when these are named (``_at_most``);
-a K_k threshold past which the graph must fit a template, every fit checked
-(``_fits_above``); and the saturation lemmas (``_saturation``).  Every
+attained only by copies of given family members when these are named
+(``_at_most``); a K_k threshold past which the graph must fit a template
+(``_fits_above``); and the saturation lemmas (``_saturation``).  Examiners
+name templates as ``Family`` values; ``nonham.classify`` decides on the
+family's quotient whether a graph fits or is a copy of one.  Every
 statement with a minimum degree d is about nonhamiltonian graphs with
 minimum degree >= d; ``_run_stripe`` applies that gate once, before the
 examiner sees the graph.
@@ -39,9 +41,9 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from typing import Callable, Iterable, Iterator
 
-from nonham.classify import _check_witness, _template_set, is_isomorphic, match_template
+from nonham.classify import _fits, _is_member, _template_set
 from nonham.counting import count_cliques
-from nonham.families import Family, build_H, build_Kprime
+from nonham.families import Family
 from nonham.formulas import e_bound, h_k, star_count_formula
 from nonham.graphs import Graph, graph6_encode, min_degree
 from nonham.hamilton import is_hamiltonian, is_saturated
@@ -88,33 +90,27 @@ def _clique_max(n: int, x: int, k: int) -> int:
 # further hypothesis fails, else (ok, observed, bound, is_witness, tallies).
 
 
-def _at_most(count: Callable[[Graph], int], bound: int, extremes: tuple[Graph, ...] = ()):
+def _at_most(count: Callable[[Graph], int], bound: int, extremes: tuple[Family, ...] = ()):
     """count(g) <= bound; with extremes, equality only on a copy of one of them."""
 
     def examine(g: Graph):
         observed = count(g)
         if observed != bound or not extremes:
             return observed <= bound, observed, bound, observed == bound, {}
-        ok = any(is_isomorphic(g, x) for x in extremes)
+        ok = any(_is_member(g, fam) for fam in extremes)
         return ok, observed, bound, ok, {"equality": 1}
 
     return examine
 
 
-def _fits_above(k: int, threshold: int, families: Iterable[Family]):
+def _fits_above(k: int, threshold: int, families: list[Family]):
     """A graph with more than threshold K_k's fits one of the templates."""
-    templates = [(fam, fam.build()) for fam in families]
 
     def examine(g: Graph):
         observed = count_cliques(g, k)
         if observed <= threshold:
             return None
-        tallies = {}
-        for fam, template in templates:
-            found = match_template(g, fam)
-            if found is not None:
-                _check_witness(g, template, found)
-                tallies[fam.label()] = 1
+        tallies = {fam.label(): 1 for fam in _fits(g, families)}
         ok = bool(tallies)
         return ok, observed, threshold, ok, tallies
 
@@ -122,12 +118,12 @@ def _fits_above(k: int, threshold: int, families: Iterable[Family]):
 
 
 def _star(n: int, d: int, t: int):
-    extremes = (build_H(n, d), build_H(n, _half(n)))
+    extremes = (Family("h", n, d), Family("h", n, _half(n)))
 
     def stars(g: Graph) -> int:
         return star_count_formula(g.degrees(), t)
 
-    return _at_most(stars, max(map(stars, extremes)), extremes)
+    return _at_most(stars, max(stars(fam.build()) for fam in extremes), extremes)
 
 
 def _complete_complement_radii(g: Graph) -> list[int]:
@@ -169,10 +165,7 @@ def _saturation(n: int):
         delta = min_degree(g)
         tallies = {f"r={radii[0]}": 1}
         if radii[0] == delta:
-            ok = is_isomorphic(g, build_H(n, delta)) or is_isomorphic(
-                g, build_Kprime(n, delta)
-            )
-            if not ok:
+            if not any(_is_member(g, Family(tag, n, delta)) for tag in ("h", "kprime")):
                 return False, f"minimal r equals delta={delta}", "extremal template", False, tallies
             tallies["extremal"] = 1
         return True, f"r={radii[0]}", "", True, tallies
@@ -187,7 +180,7 @@ _EXAMINERS = {
         lambda g: count_cliques(g, k), _clique_max(n, d, k)
     ),
     "stability": lambda n, d, k: _fits_above(
-        k, _clique_max(n, d + 2, k), [f for f in _template_set(n, d) if f.is_valid()]
+        k, _clique_max(n, d + 2, k), _template_set(n, d)[0]
     ),
     "prior-stability": lambda n, d, k: _fits_above(
         k, _clique_max(n, d + 1, k), [Family("h", n, d), Family("kprime", n, d)]
@@ -337,7 +330,7 @@ def verify_stability(
     _require(n >= 3, "need n >= 3")
     _require(1 <= d <= _half(n), f"need 1 <= d <= {_half(n)}")
     _require(k >= 2, "need k >= 2")
-    skipped = [fam.label() for fam in _template_set(n, d) if not fam.is_valid()]
+    skipped = [fam.label() for fam in _template_set(n, d)[1]]
     return _run_op(
         "stability",
         {"n": n, "d": d, "k": k},

@@ -5,6 +5,7 @@ import pytest
 from helpers import REPO_GRAPHS8, oracle_spanning, random_graph, random_supergraph
 from nonham.classify import (
     ClassificationResult,
+    _is_member,
     _template_set,
     classify,
     is_isomorphic,
@@ -13,7 +14,7 @@ from nonham.classify import (
 )
 from nonham.enumeration import enumerate_nonisomorphic, stream_graph6
 from nonham.families import Family, build_Gprime2, build_H, build_Kprime
-from nonham.graphs import build_from_edges, complete_graph, relabel
+from nonham.graphs import build_from_edges, complete_graph, graph6_encode, relabel
 
 
 def test_spanning_basic():
@@ -143,7 +144,7 @@ def test_is_isomorphic():
 
 
 def _valid_templates(n, d):
-    return [fam for fam in _template_set(n, d) if fam.is_valid()]
+    return _template_set(n, d)[0]
 
 
 def _assert_agrees(g, fam):
@@ -223,6 +224,30 @@ def test_match_template_on_large_near_members(n):
         for g in (member, fewer, more):
             for other, found in classify(g, cd).witnesses.items():
                 _assert_witness(g, other, found)
+
+
+def test_membership_by_quotient_agrees_with_isomorphism():
+    corpus = list(stream_graph6(REPO_GRAPHS8))
+    members = _families_at(8)
+    assert len(members) == 11
+    copies = 0
+    for fam in members:
+        template = fam.build()
+        for g in corpus:
+            member = _is_member(g, fam)
+            assert member == is_isomorphic(g, template), (fam, graph6_encode(g))
+            copies += member
+    # one corpus class per member; H(8,1) and K'(8,1) are the same class
+    assert copies == 11
+    rng = random.Random(39)
+    for fam in (Family("h", 64, 21), Family("kprime", 64, 2), Family("f3", 64)):
+        assert _is_member(relabel(fam.build(), rng.sample(range(64), 64)), fam), fam
+    # H(8,2) with a clique edge moved onto its two low vertices: as many
+    # edges, but no vertex of degree at most 2 is left to play the low side
+    h = build_H(8, 2)
+    moved = build_from_edges(8, [e for e in h.edges() if e != (2, 3)] + [(6, 7)])
+    assert moved.edge_count() == h.edge_count()
+    assert not _is_member(moved, Family("h", 8, 2))
 
 
 @pytest.mark.parametrize("fam, d", [

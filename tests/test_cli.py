@@ -162,6 +162,10 @@ def test_malformed_input_exits_2():
     proc = run_cli(["ham", "check"], stdin="B\n")
     assert proc.returncode == 2
     assert "nonham:" in proc.stderr
+    # a zero denominator is bad input, not a crash (exit 1 means violations)
+    proc = run_cli(["eval", "binom", "--a", "5/0", "--b", "2"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("nonham: ") and proc.stderr.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_2():

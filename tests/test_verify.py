@@ -337,10 +337,14 @@ def test_spec_bounds_computed_once(monkeypatch):
 
 
 def test_prior_stability_checks_template_witnesses(monkeypatch):
+    import importlib
+
     from helpers import REPO_GRAPHS8
     from nonham.enumeration import stream_graph6
 
-    monkeypatch.setattr(verify, "match_template", lambda g, fam: [0] * g.n)
+    # nonham.classify is the function the package re-exports, not the module
+    classify_mod = importlib.import_module("nonham.classify")
+    monkeypatch.setattr(classify_mod, "match_template", lambda g, fam: [0] * g.n)
     with pytest.raises(AssertionError):
         verify_prior_stability(8, 1, 2, stream_graph6(REPO_GRAPHS8))
 
