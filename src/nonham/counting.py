@@ -12,12 +12,17 @@ labelled copies of it.  An automorphism of F is a labeled copy of F
 in itself, so ``automorphism_count`` runs the same search on (F, F).  In both
 searches of this module, for embeddings and for cliques, the last vertex is
 counted, not searched: its candidate set is one bitmask, and its size is one
-``int.bit_count()``.
+``int.bit_count()``.  The clique search steps by classes of closed twins
+(vertices with the same closed neighbourhood), not by vertices: a class is a
+clique of interchangeable vertices, so the cliques that meet it are counted
+with binomial coefficients.  A blow-up of a quotient on p parts, such as
+every extremal family of ``nonham.families``, then costs about as much as
+its quotient, whatever the sizes of its clique parts.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 
 from nonham.formulas import falling_factorial
 from nonham.graphs import Graph, bits
@@ -88,10 +93,26 @@ def _search_core_copies(g: Graph, f: Graph, core: int) -> int:
 
 
 def count_cliques(g: Graph, k: int) -> int:
-    """Number of k-vertex subsets inducing complete subgraphs."""
+    """Number of k-vertex subsets inducing complete subgraphs.
+
+    Each clique is counted at its lowest vertex v among the candidates, as a
+    clique of the rest in v's later neighbours.  When at least three vertices
+    are still needed, v's whole closed-twin class S among the candidates is
+    taken in one step: S is a clique whose members have the same
+    neighbours N outside S, so the cliques meeting S number
+    sum over j >= 1 of C(|S|, j) times the (need - j)-cliques of N.
+    """
     if k < 1:
         raise ValueError("count_cliques needs k >= 1")
     adj = g.adj
+    # closed-twin classes, keyed by their common closed neighbourhood
+    classes: dict[int, int] = {}
+    if k >= 3:
+        bit = 1
+        for row in adj:
+            closed = row | bit
+            classes[closed] = classes.get(closed, 0) | bit
+            bit <<= 1
 
     def rec(cand: int, need: int) -> int:
         if need == 1:
@@ -99,9 +120,21 @@ def count_cliques(g: Graph, k: int) -> int:
         total = 0
         while cand.bit_count() >= need:
             low = cand & -cand
-            cand ^= low
-            common = adj[low.bit_length() - 1] & cand
-            total += common.bit_count() if need == 2 else rec(common, need - 1)
+            row = adj[low.bit_length() - 1]
+            if need == 2:
+                cand ^= low
+                total += (row & cand).bit_count()
+                continue
+            twins = classes[row | low] & cand
+            cand ^= twins
+            common = row & cand
+            if twins == low:
+                total += rec(common, need - 1)
+                continue
+            s = twins.bit_count()
+            total += comb(s, need)  # cliques inside the class; 0 when s < need
+            for j in range(1, min(s, need - 1) + 1):
+                total += comb(s, j) * rec(common, need - j)
         return total
 
     total = rec((1 << g.n) - 1, k)

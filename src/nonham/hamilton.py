@@ -382,28 +382,87 @@ def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
     return None if path is None else path + [v]
 
 
+def _mark_orbit(known: list[int], classes: list[int], u: int, v: int) -> None:
+    """Record that adding every pair of ``classes[u]`` x ``classes[v]`` makes
+    the graph hamiltonian, as adding uv did."""
+    for x in bits(classes[u]):
+        known[x] |= classes[v]
+    for y in bits(classes[v]):
+        known[y] |= classes[u]
+
+
+def _twin_classes(g: Graph) -> list[int]:
+    """Each vertex's twin class, itself included."""
+    return [twin | 1 << v for v, twin in enumerate(twin_masks(g))]
+
+
 def saturate(g: Graph) -> Graph:
     """Close a nonhamiltonian graph under edge additions that keep it
-    nonhamiltonian, probing nonedges in lexicographic order."""
+    nonhamiltonian, probing nonedges in lexicographic order.
+
+    The graph built so far is nonhamiltonian, so the two rules of
+    ``ore_check`` settle many probes without a search: a pair with
+    d(u) + d(v) >= n is added, and a pair in the twin orbit of a pair whose
+    addition was hamiltonian is passed over.
+    """
     if is_hamiltonian(g):
         raise ValueError("saturate requires a nonhamiltonian input")
+    n = g.n
     cur = g
+    deg = list(g.degrees())
+    known = [0] * n  # known[x]: the y for which cur + xy is hamiltonian
+    classes = None  # cur's twin classes, rebuilt after each addition
     for u, v in g.nonedges():
+        if known[u] >> v & 1:
+            continue
         candidate = add_edge(cur, u, v)
-        if not is_hamiltonian(candidate):
+        if deg[u] + deg[v] >= n or not is_hamiltonian(candidate):
             cur = candidate
+            deg[u] += 1
+            deg[v] += 1
+            classes = None
+            continue
+        if classes is None:
+            classes = _twin_classes(cur)
+        _mark_orbit(known, classes, u, v)
     return cur
 
 
 def is_saturated(g: Graph) -> bool:
-    """Nonhamiltonian, and every nonedge addition creates a hamiltonian cycle."""
-    if is_hamiltonian(g):
+    """Nonhamiltonian, and every nonedge addition creates a hamiltonian cycle.
+
+    A nonedge that ``ore_check`` lists rejects g at once, and one probe
+    settles the pair's whole twin orbit (see ``ore_check`` for both rules).
+    """
+    if ore_check(g) or is_hamiltonian(g):
         return False
-    return all(is_hamiltonian(add_edge(g, u, v)) for u, v in g.nonedges())
+    classes = _twin_classes(g)
+    known = [0] * g.n
+    for u, v in g.nonedges():
+        if known[u] >> v & 1:
+            continue
+        if not is_hamiltonian(add_edge(g, u, v)):
+            return False
+        _mark_orbit(known, classes, u, v)
+    return True
 
 
 def ore_check(g: Graph) -> list[tuple[int, int]]:
-    """Nonedges uv with d(u) + d(v) >= n (empty on saturated graphs)."""
+    """Nonedges uv with d(u) + d(v) >= n (empty on saturated graphs).
+
+    By Bondy & Chvatal ("A method in graph theory", 1976), G + uv is then
+    hamiltonian exactly when G is.  ``saturate`` and ``is_saturated`` probe
+    nonedges of a nonhamiltonian G, and they settle probes by two rules:
+
+    * such a pair is a nonedge whose addition keeps G nonhamiltonian, so
+      ``saturate`` adds it without a search, and a nonempty list means G is
+      not saturated;
+    * if G + uv is hamiltonian, so is G + xy for every x in u's twin class
+      and y in v's (twins: same open or same closed neighbourhood), since
+      permuting a twin class is an automorphism of G.  Adding edges keeps a
+      graph hamiltonian, so the pair's whole twin orbit stays settled in
+      every later graph of ``saturate``.
+    """
     degs = g.degrees()
     return [(u, v) for u, v in g.nonedges() if degs[u] + degs[v] >= g.n]
 

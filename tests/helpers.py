@@ -43,6 +43,19 @@ def oracle_ham_path(g: Graph, u: int, v: int) -> bool:
     return False
 
 
+def naive_saturate(g: Graph, is_ham) -> Graph:
+    """Add each nonedge of g in lexicographic order when the graph built so
+    far plus that edge is still nonhamiltonian, deciding every probe with
+    ``is_ham``."""
+    if is_ham(g):
+        raise ValueError("saturate requires a nonhamiltonian input")
+    edges = g.edges()
+    for u, v in g.nonedges():
+        if not is_ham(build_from_edges(g.n, edges + [(u, v)])):
+            edges.append((u, v))
+    return build_from_edges(g.n, edges)
+
+
 def reference_check_rows(n: int, adj: tuple[int, ...]) -> None:
     """The per-edge validation ``Graph`` ran before its rows were checked as
     one packed bit matrix: raise ValueError with the first fault, or pass."""

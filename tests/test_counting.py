@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -153,6 +153,56 @@ def test_clique_embedding_consistency():
                 if f.n <= g.n:
                     searched = counting._search_core_copies(g, f, c) * falling_factorial(g.n - c, isolated)
                     assert count_labeled_embeddings(g, f) == searched, (g, f)
+
+
+def _blow_up(rng):
+    """A relabelled blow-up of a random quotient on at most 5 parts: each part
+    a clique or an independent set of random size, two parts fully joined or
+    not, at most 10 vertices."""
+    parts = rng.randrange(1, 6)
+    sizes = [rng.randrange(1, 1 + (10 - parts) // parts + 1) for _ in range(parts)]
+    cliques = [rng.random() < 0.5 for _ in range(parts)]
+    joined = {(a, b) for b in range(parts) for a in range(b) if rng.random() < 0.6}
+    part_of = [p for p, size in enumerate(sizes) for _ in range(size)]
+    n = len(part_of)
+    edges = [
+        (x, y)
+        for y in range(n)
+        for x in range(y)
+        if (part_of[x], part_of[y]) in joined or part_of[x] == part_of[y] and cliques[part_of[x]]
+    ]
+    return relabel(build_from_edges(n, edges), rng.sample(range(n), n))
+
+
+def test_clique_counts_of_blow_ups():
+    # count_cliques takes a class of closed twins in one step: check it where
+    # large classes, several classes and independent parts meet, up to k = n + 1
+    rng = random.Random(28)
+    for _ in range(150):
+        g = _blow_up(rng)
+        for k in range(1, g.n + 2):
+            assert count_cliques(g, k) == oracle_count_cliques(g, k), (g, k)
+
+
+def test_clique_counts_of_relabelled_families():
+    from nonham.families import build_Kprime
+
+    rng = random.Random(29)
+    for n in (12, 40, 64):
+        for d in sorted({1, 2, 3, (n - 1) // 4, (n - 1) // 2}):
+            h = relabel(build_H(n, d), rng.sample(range(n), n))
+            # the clique number of H(n, d) is n - d
+            assert count_cliques(h, 1) == n
+            for k in range(2, n - d + 2):
+                assert count_cliques(h, k) == h_k(n, d, k), (n, d, k)
+            # K'(n, d) is K_{n-d} and K_{d+1} sharing one vertex
+            kp = relabel(build_Kprime(n, d), rng.sample(range(n), n))
+            for k in range(3, n - d + 2):
+                assert count_cliques(kp, k) == comb(n - d, k) + comb(d + 1, k), (n, d, k)
+    # the clique-pattern route of count_labeled_embeddings folds the classes
+    # too: 10! copies of K10 per 10-clique of H(64, 3)
+    h = relabel(build_H(64, 3), rng.sample(range(64), 64))
+    assert count_labeled_embeddings(h, complete_graph(10)) == factorial(10) * h_k(64, 3, 10)
 
 
 def test_automorphism_counts():

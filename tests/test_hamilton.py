@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     all_labeled_graphs,
+    naive_saturate,
     oracle_ham_path,
     oracle_is_hamiltonian,
     random_graph,
@@ -18,7 +19,7 @@ from nonham.families import (
     build_Hprime,
     build_Kprime,
 )
-from nonham.graphs import build_from_edges, complete_graph, relabel, twin_masks
+from nonham.graphs import add_edge, build_from_edges, complete_graph, relabel, twin_masks
 from nonham.hamilton import (
     PathPartition,
     _capacity_classes,
@@ -445,6 +446,71 @@ def test_saturate_properties_order7():
         s = saturate(g)
         assert is_saturated(s)
         assert ore_check(s) == []
+
+
+def _family_members(n):
+    for build, ds in (
+        (build_H, range(1, (n - 1) // 2 + 1)),
+        (build_Kprime, range(1, (n - 1) // 2 + 1)),
+        (build_Hprime, range(1, (n - 2) // 2 + 1)),
+        (build_GprimeD, range(1, (n - 1) // 3 + 1)),
+    ):
+        for d in ds:
+            yield build(n, d)
+    if n >= 7:
+        yield build_Gprime2(n)
+    if n >= 8:
+        yield build_F3(n)
+
+
+def test_saturate_matches_probing_every_nonedge():
+    # saturate adds a pair with d(u) + d(v) >= n and passes over the twin
+    # orbit of a hamiltonian probe without a search; the reference probes
+    # every nonedge (the subset DP stands in for the permutation scan above
+    # order 8)
+    graphs = [_relabelled(g, seed) for seed, g in enumerate(
+        g for n in (7, 8, 10, 12) for g in _family_members(n))]
+    rng = random.Random(41)
+    while len(graphs) < 140:
+        g = random_graph(rng, rng.randrange(4, 10), rng.choice([0.3, 0.45, 0.6]))
+        if not dp_hamiltonian(g):
+            graphs.append(g)
+    hamiltonian = 0
+    for g in graphs:
+        decide = oracle_is_hamiltonian if g.n <= 8 else dp_hamiltonian
+        if decide(g):
+            hamiltonian += 1  # G'_D(n, d) with d >= 3
+            with pytest.raises(ValueError):
+                saturate(g)
+            continue
+        assert saturate(g) == naive_saturate(g, decide), g
+    assert hamiltonian == 2
+
+
+def test_is_saturated_matches_its_definition():
+    for n in range(1, 8):
+        for g in enumerate_nonisomorphic(n):
+            want = not oracle_is_hamiltonian(g) and all(
+                oracle_is_hamiltonian(add_edge(g, u, v)) for u, v in g.nonedges()
+            )
+            assert is_saturated(g) == want, g
+
+
+def test_large_base_families_are_saturated(monkeypatch):
+    # H(n, d) and K'(n, d) have three twin classes, so one probe per pair of
+    # classes settles every nonedge: b-b and b-C in H, C-S in K'.  With the
+    # call that checks the input, that is at most three decisions
+    calls = []
+    decide = hamilton.is_hamiltonian
+    monkeypatch.setattr(hamilton, "is_hamiltonian", lambda g: calls.append(g) or decide(g))
+    members = [(build, n, d) for build in (build_H, build_Kprime) for n in (40, 64)
+               for d in (1, 2, 3, n // 4, (n - 1) // 2)]
+    for seed, (build, n, d) in enumerate(members):
+        g = _relabelled(build(n, d), seed)
+        calls.clear()
+        assert saturate(g) == g
+        assert len(calls) <= 3, (build.__name__, n, d)
+        assert is_saturated(g)
 
 
 def test_is_saturated_examples():
