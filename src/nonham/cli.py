@@ -15,6 +15,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from typing import Iterator
 
 from nonham import formulas
@@ -93,43 +95,45 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_ham(args) -> int:
+def _vertices(walk: list[int] | None) -> str:
+    return " ".join(map(str, walk)) if walk else "none"
+
+
+def _json_or_none(value, fields) -> str:
+    """``fields(value)`` as JSON, or "none" when there is no value."""
+    return "none" if value is None else json.dumps(fields(value))
+
+
+# per-graph command -> what it prints for one input graph, given the arguments
+_ANSWERS = {
+    "ham check": lambda g, args: "true" if is_hamiltonian(g) else "false",
+    "ham cycle": lambda g, args: _vertices(find_hamiltonian_cycle(g)),
+    "ham path": lambda g, args: _vertices(hamiltonian_path_between(g, args.src, args.dst)),
+    "saturate": lambda g, args: graph6_encode(saturate(g)),
+    "posa": lambda g, args: _json_or_none(
+        posa_certificate(g), lambda cert: {"r": cert.r, "vertices": list(cert.vertices)}
+    ),
+    "pathcover": lambda g, args: _json_or_none(
+        path_partition(g, args.t), lambda part: [list(p) for p in part.paths]
+    ),
+    "cliques": lambda g, args: count_cliques(g, args.k),
+    "classify": lambda g, args: _json_or_none(
+        classify(g, args.d),
+        lambda res: {"matches": res.tags(), "skipped": [fam.label() for fam in res.skipped]},
+    ),
+}
+
+
+def _cmd_each(answer, args) -> int:
     for g in _input_graphs(args.input):
-        if args.action == "check":
-            print("true" if is_hamiltonian(g) else "false")
-        elif args.action == "cycle":
-            cyc = find_hamiltonian_cycle(g)
-            print(" ".join(map(str, cyc)) if cyc else "none")
-        else:
-            path = hamiltonian_path_between(g, args.src, args.dst)
-            print(" ".join(map(str, path)) if path else "none")
+        print(answer(g, args))
     return 0
 
 
-def _cmd_saturate(args) -> int:
-    for g in _input_graphs(args.input):
-        print(graph6_encode(saturate(g)))
-    return 0
-
-
-def _cmd_posa(args) -> int:
-    for g in _input_graphs(args.input):
-        cert = posa_certificate(g)
-        if cert is None:
-            print("none")
-        else:
-            print(json.dumps({"r": cert.r, "vertices": list(cert.vertices)}))
-    return 0
-
-
-def _cmd_pathcover(args) -> int:
-    for g in _input_graphs(args.input):
-        part = path_partition(g, args.t)
-        if part is None:
-            print("none")
-        else:
-            print(json.dumps([list(p) for p in part.paths]))
-    return 0
+def _per_graph(parser: argparse.ArgumentParser, command: str) -> None:
+    """The parser's command prints ``_ANSWERS[command]`` of each input graph."""
+    _add_input(parser)
+    parser.set_defaults(func=partial(_cmd_each, _ANSWERS[command]))
 
 
 def _cmd_count(args) -> int:
@@ -147,22 +151,6 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _cmd_cliques(args) -> int:
-    for g in _input_graphs(args.input):
-        print(count_cliques(g, args.k))
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    for g in _input_graphs(args.input):
-        result = classify(g, args.d)
-        print(json.dumps({
-            "matches": result.tags(),
-            "skipped": [fam.label() for fam in result.skipped],
-        }))
-    return 0
-
-
 def _cmd_enum(args) -> int:
     stream = apply_filters(
         enumerate_nonisomorphic(args.n),
@@ -174,17 +162,6 @@ def _cmd_enum(args) -> int:
     return 0
 
 
-# theorem -> (sweep, required parameters in the sweep's positional order)
-_VERIFY = {
-    "edge-bound": (verify_mod.verify_edge_bound, ("d",)),
-    "clique-bound": (verify_mod.verify_clique_bound, ("d", "k")),
-    "stability": (verify_mod.verify_stability, ("d", "k")),
-    "prior-stability": (verify_mod.verify_prior_stability, ("d", "k")),
-    "star": (verify_mod.verify_star_claim, ("d", "t")),
-    "saturation": (verify_mod.verify_saturation_lemmas, ()),
-}
-
-
 def _cmd_verify(args) -> int:
     if args.input is not None:
         stream = _input_graphs(args.input)
@@ -192,11 +169,12 @@ def _cmd_verify(args) -> int:
         stream = enumerate_nonisomorphic(args.n)
     workers = max(1, args.workers) if args.workers else _default_workers()
     kind = args.theorem
-    sweep, needs = _VERIFY[kind]
-    for name in needs:
+    names = verify_mod._THEOREMS[kind].params
+    for name in names:
         if getattr(args, name) is None:
             raise ValueError(f"verify {kind} requires --{name}")
-    report = sweep(args.n, *(getattr(args, name) for name in needs), stream, workers)
+    values = tuple(getattr(args, name) for name in names)
+    report = verify_mod._sweep(kind, args.n, values, stream, workers)
     text = report.to_json()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -240,28 +218,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ham", help="hamiltonicity queries")
     hm = p.add_subparsers(dest="action", required=True)
-    q = hm.add_parser("check")
-    _add_input(q)
-    q = hm.add_parser("cycle")
-    _add_input(q)
+    _per_graph(hm.add_parser("check"), "ham check")
+    _per_graph(hm.add_parser("cycle"), "ham cycle")
     q = hm.add_parser("path")
     q.add_argument("--from", dest="src", type=int, required=True)
     q.add_argument("--to", dest="dst", type=int, required=True)
-    _add_input(q)
-    p.set_defaults(func=_cmd_ham)
+    _per_graph(q, "ham path")
 
     p = sub.add_parser("saturate", help="nonhamiltonian saturation closure")
-    _add_input(p)
-    p.set_defaults(func=_cmd_saturate)
+    _per_graph(p, "saturate")
 
     p = sub.add_parser("posa", help="low-degree certificate")
-    _add_input(p)
-    p.set_defaults(func=_cmd_posa)
+    _per_graph(p, "posa")
 
     p = sub.add_parser("pathcover", help="partition vertices into <= t paths")
     p.add_argument("--t", type=int, required=True)
-    _add_input(p)
-    p.set_defaults(func=_cmd_pathcover)
+    _per_graph(p, "pathcover")
 
     p = sub.add_parser("count", help="labeled embeddings of a pattern")
     p.add_argument("--pattern", required=True, metavar="P.g6")
@@ -271,13 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cliques", help="k-clique counts")
     p.add_argument("--k", type=int, required=True)
-    _add_input(p)
-    p.set_defaults(func=_cmd_cliques)
+    _per_graph(p, "cliques")
 
     p = sub.add_parser("classify", help="containment in the template families")
     p.add_argument("--d", type=int, required=True)
-    _add_input(p)
-    p.set_defaults(func=_cmd_classify)
+    _per_graph(p, "classify")
 
     p = sub.add_parser("enum", help="non-isomorphic graphs at small order")
     p.add_argument("--n", type=int, required=True)
@@ -286,11 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("verify", help="exhaustive theorem sweeps")
-    p.add_argument("theorem", choices=list(_VERIFY))
+    p.add_argument("theorem", choices=list(verify_mod._THEOREMS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--t", type=int)
+    for name in dict.fromkeys(chain.from_iterable(
+        theorem.params for theorem in verify_mod._THEOREMS.values()
+    )):
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--report", metavar="OUT.json")
     _add_input(p)

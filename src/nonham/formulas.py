@@ -10,6 +10,7 @@ parameters such as x > floor((n-1)/2).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterable
 
 
@@ -32,20 +33,10 @@ def gen_binom(a: int | Fraction, b: int) -> int | Fraction:
         raise ValueError("gen_binom needs b >= 0")
     if a < b - 1:
         return 0
-    num = 1
-    for i in range(b):
-        num *= a - i
-    val = Fraction(num) / Fraction(_factorial(b))
+    val = Fraction(falling_factorial(a, b), factorial(b))
     if val.denominator == 1:
         return int(val)
     return val
-
-
-def _factorial(b: int) -> int:
-    out = 1
-    for i in range(2, b + 1):
-        out *= i
-    return out
 
 
 def h(n: int, d: int) -> int:

@@ -48,6 +48,7 @@ than ``MAX_ORDER`` vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from nonham.graphs import Graph, _unchecked_graph, add_edge, bits, twin_masks
 
@@ -396,17 +397,15 @@ def _twin_classes(g: Graph) -> list[int]:
     return [twin | 1 << v for v, twin in enumerate(twin_masks(g))]
 
 
-def saturate(g: Graph) -> Graph:
-    """Close a nonhamiltonian graph under edge additions that keep it
-    nonhamiltonian, probing nonedges in lexicographic order.
+def _additions(g: Graph) -> Iterator[Graph]:
+    """The graphs that ``saturate`` builds from a nonhamiltonian g, one per
+    nonedge it adds, probing nonedges in lexicographic order.
 
     The graph built so far is nonhamiltonian, so the two rules of
     ``ore_check`` settle many probes without a search: a pair with
     d(u) + d(v) >= n is added, and a pair in the twin orbit of a pair whose
     addition was hamiltonian is passed over.
     """
-    if is_hamiltonian(g):
-        raise ValueError("saturate requires a nonhamiltonian input")
     n = g.n
     cur = g
     deg = list(g.degrees())
@@ -421,10 +420,21 @@ def saturate(g: Graph) -> Graph:
             deg[u] += 1
             deg[v] += 1
             classes = None
+            yield cur
             continue
         if classes is None:
             classes = _twin_classes(cur)
         _mark_orbit(known, classes, u, v)
+
+
+def saturate(g: Graph) -> Graph:
+    """Close a nonhamiltonian graph under edge additions that keep it
+    nonhamiltonian (see ``_additions``)."""
+    if is_hamiltonian(g):
+        raise ValueError("saturate requires a nonhamiltonian input")
+    cur = g
+    for cur in _additions(g):
+        pass
     return cur
 
 
@@ -436,15 +446,7 @@ def is_saturated(g: Graph) -> bool:
     """
     if ore_check(g) or is_hamiltonian(g):
         return False
-    classes = _twin_classes(g)
-    known = [0] * g.n
-    for u, v in g.nonedges():
-        if known[u] >> v & 1:
-            continue
-        if not is_hamiltonian(add_edge(g, u, v)):
-            return False
-        _mark_orbit(known, classes, u, v)
-    return True
+    return next(_additions(g), None) is None
 
 
 def ore_check(g: Graph) -> list[tuple[int, int]]:

@@ -6,17 +6,18 @@ violations (there should be none), extremal witnesses, and per-family tallies
 where applicable.  Hypothesis gating is literal: strict thresholds stay
 strict, non-strict bounds stay non-strict.
 
-The sweeps differ only in their entry of ``_EXAMINERS``, which builds an
-examiner from the sweep's parameters once per stripe, with its bounds and
-templates.  Three shapes cover the six theorems: a count held to a bound,
-attained only by copies of given family members when these are named
-(``_at_most``); a K_k threshold past which the graph must fit a template
-(``_fits_above``); and the saturation lemmas (``_saturation``).  Examiners
-name templates as ``Family`` values; ``nonham.classify`` decides on the
-family's quotient whether a graph fits or is a copy of one.  Every
-statement with a minimum degree d is about nonhamiltonian graphs with
-minimum degree >= d; ``_run_stripe`` applies that gate once, before the
-examiner sees the graph.
+The sweeps differ only in their entry of the theorem table ``_THEOREMS``
+(parameters, range checks, report extras, and the factory that builds an
+examiner once per stripe, with its bounds and templates), which the public
+``verify_*`` functions and the CLI read.  Three shapes cover the six
+theorems: a count held to a bound, attained only by copies of given family
+members when these are named (``_at_most``); a K_k threshold past which the
+graph must fit a template (``_fits_above``); and the saturation lemmas
+(``_saturation``).  Examiners name templates as ``Family`` values;
+``nonham.classify`` decides on the family's quotient whether a graph fits
+or is a copy of one.  Every statement with a minimum degree d is about
+nonhamiltonian graphs with minimum degree >= d; ``_run_stripe`` applies
+that gate once, before the examiner sees the graph.
 
 Reports are deterministic: violations and witnesses are canonically sorted by
 graph6 string, and sharded runs merge into byte-identical reports (modulo the
@@ -39,7 +40,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from nonham.classify import _fits, _is_member, _template_set
 from nonham.counting import count_cliques
@@ -126,16 +127,15 @@ def _star(n: int, d: int, t: int):
     return _at_most(stars, max(stars(fam.build()) for fam in extremes), extremes)
 
 
-def _complete_complement_radii(g: Graph) -> list[int]:
-    """All r with an r-set of degree-<=r vertices whose removal leaves a clique."""
+def _complete_complement_radius(g: Graph) -> int | None:
+    """The least r with an r-set of degree-<=r vertices whose removal leaves a clique."""
     degs = g.degrees()
     nonedges = g.nonedges()
-    out = []
     for r in range(1, _half(g.n) + 1):
         low = [v for v in range(g.n) if degs[v] <= r]
         if len(low) >= r and _cover_within(nonedges, low, r):
-            out.append(r)
-    return out
+            return r
+    return None
 
 
 def _cover_within(nonedges: list[tuple[int, int]], allowed: list[int], size: int) -> bool:
@@ -159,34 +159,58 @@ def _saturation(n: int):
             return None
         if not any(count_cliques(g, k) > bound for k, bound in thresholds):
             return None
-        radii = _complete_complement_radii(g)
-        if not radii:
+        r = _complete_complement_radius(g)
+        if r is None:
             return False, "no complete-complement set", "some r <= (n-1)/2", False, {}
         delta = min_degree(g)
-        tallies = {f"r={radii[0]}": 1}
-        if radii[0] == delta:
+        tallies = {f"r={r}": 1}
+        if r == delta:
             if not any(_is_member(g, Family(tag, n, delta)) for tag in ("h", "kprime")):
                 return False, f"minimal r equals delta={delta}", "extremal template", False, tallies
             tallies["extremal"] = 1
-        return True, f"r={radii[0]}", "", True, tallies
+        return True, f"r={r}", "", True, tallies
 
     return examine
 
 
-# theorem -> examiner factory, whose parameters are the sweep's, in order.
-_EXAMINERS = {
-    "edge-bound": lambda n, d: _at_most(Graph.edge_count, e_bound(n, d)),
-    "clique-bound": lambda n, d, k: _at_most(
-        lambda g: count_cliques(g, k), _clique_max(n, d, k)
+class _Theorem(NamedTuple):
+    params: tuple[str, ...]  # after n, in the public sweep's positional order
+    checks: tuple[str, ...]  # keys of _RANGES, tested in this order
+    examiner: Callable  # (n, *params) -> examiner, built once per stripe
+    extra: Callable | None = None  # (n, *params) -> the report's extras
+
+
+_THEOREMS = {
+    "edge-bound": _Theorem(
+        ("d",), ("d",), lambda n, d: _at_most(Graph.edge_count, e_bound(n, d))
     ),
-    "stability": lambda n, d, k: _fits_above(
-        k, _clique_max(n, d + 2, k), _template_set(n, d)[0]
+    "clique-bound": _Theorem(
+        ("d", "k"), ("d", "k"),
+        lambda n, d, k: _at_most(lambda g: count_cliques(g, k), _clique_max(n, d, k)),
     ),
-    "prior-stability": lambda n, d, k: _fits_above(
-        k, _clique_max(n, d + 1, k), [Family("h", n, d), Family("kprime", n, d)]
+    "stability": _Theorem(
+        ("d", "k"), ("n", "d", "k"),
+        lambda n, d, k: _fits_above(k, _clique_max(n, d + 2, k), _template_set(n, d)[0]),
+        lambda n, d, k: {
+            "skipped_templates": [fam.label() for fam in _template_set(n, d)[1]]
+        },
     ),
-    "star": _star,
-    "saturation": _saturation,
+    "prior-stability": _Theorem(
+        ("d", "k"), ("n", "d", "k"),
+        lambda n, d, k: _fits_above(
+            k, _clique_max(n, d + 1, k), [Family("h", n, d), Family("kprime", n, d)]
+        ),
+    ),
+    "star": _Theorem(("d", "t"), ("d", "t"), _star),
+    "saturation": _Theorem((), ("n",), _saturation),
+}
+
+# check -> (test on n and the parameter's value, message; {half} is (n-1)//2)
+_RANGES = {
+    "n": (lambda n, _: n >= 3, "need n >= 3"),
+    "d": (lambda n, d: 1 <= d <= _half(n), "need 1 <= d <= {half}"),
+    "k": (lambda n, k: k >= 2, "need k >= 2"),
+    "t": (lambda n, t: 3 <= t <= n, "need 3 <= t <= n"),
 }
 
 
@@ -195,7 +219,7 @@ _CHUNK = 512
 
 
 def _run_stripe(op: str, params: dict, graphs: Iterable[Graph]) -> dict:
-    examine = _EXAMINERS[op](**params)
+    examine = _THEOREMS[op].examiner(**params)
     d = params.get("d")
     checked = 0
     total = 0
@@ -301,67 +325,57 @@ def _run_op(
     )
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
+def _sweep(
+    op: str, n: int, args: tuple, stream: Iterable[Graph], workers: int
+) -> VerificationReport:
+    """Range-check a sweep's parameters, as its table entry says, and run it."""
+    theorem = _THEOREMS[op]
+    params = {"n": n, **dict(zip(theorem.params, args))}
+    for name in theorem.checks:
+        test, message = _RANGES[name]
+        if not test(n, params[name]):
+            raise ValueError(message.format(half=_half(n)))
+    extra = theorem.extra(**params) if theorem.extra else None
+    return _run_op(op, params, stream, workers, extra)
 
 
 def verify_edge_bound(
     n: int, d: int, stream: Iterable[Graph], workers: int = 1
 ) -> VerificationReport:
     """e(G) <= e(n,d) for every nonhamiltonian G with min degree >= d."""
-    _require(1 <= d <= _half(n), f"need 1 <= d <= {_half(n)}")
-    return _run_op("edge-bound", {"n": n, "d": d}, stream, workers)
+    return _sweep("edge-bound", n, (d,), stream, workers)
 
 
 def verify_clique_bound(
     n: int, d: int, k: int, stream: Iterable[Graph], workers: int = 1
 ) -> VerificationReport:
     """N_k(G) <= max{h_k(n,d), h_k(n, floor((n-1)/2))} on the same class."""
-    _require(1 <= d <= _half(n), f"need 1 <= d <= {_half(n)}")
-    _require(k >= 2, "need k >= 2")
-    return _run_op("clique-bound", {"n": n, "d": d, "k": k}, stream, workers)
+    return _sweep("clique-bound", n, (d, k), stream, workers)
 
 
 def verify_stability(
     n: int, d: int, k: int, stream: Iterable[Graph], workers: int = 1
 ) -> VerificationReport:
     """Graphs beyond the h_k(n,d+2) threshold embed in a permitted template."""
-    _require(n >= 3, "need n >= 3")
-    _require(1 <= d <= _half(n), f"need 1 <= d <= {_half(n)}")
-    _require(k >= 2, "need k >= 2")
-    skipped = [fam.label() for fam in _template_set(n, d)[1]]
-    return _run_op(
-        "stability",
-        {"n": n, "d": d, "k": k},
-        stream,
-        workers,
-        extra={"skipped_templates": skipped},
-    )
+    return _sweep("stability", n, (d, k), stream, workers)
 
 
 def verify_prior_stability(
     n: int, d: int, k: int, stream: Iterable[Graph], workers: int = 1
 ) -> VerificationReport:
     """Graphs beyond the h_k(n,d+1) threshold embed in the two base templates."""
-    _require(n >= 3, "need n >= 3")
-    _require(1 <= d <= _half(n), f"need 1 <= d <= {_half(n)}")
-    _require(k >= 2, "need k >= 2")
-    return _run_op("prior-stability", {"n": n, "d": d, "k": k}, stream, workers)
+    return _sweep("prior-stability", n, (d, k), stream, workers)
 
 
 def verify_star_claim(
     n: int, d: int, t: int, stream: Iterable[Graph], workers: int = 1
 ) -> VerificationReport:
     """Star counts are maximized exactly by the two extremal constructions."""
-    _require(1 <= d <= _half(n), f"need 1 <= d <= {_half(n)}")
-    _require(3 <= t <= n, "need 3 <= t <= n")
-    return _run_op("star", {"n": n, "d": d, "t": t}, stream, workers)
+    return _sweep("star", n, (d, t), stream, workers)
 
 
 def verify_saturation_lemmas(
     n: int, stream: Iterable[Graph], workers: int = 1
 ) -> VerificationReport:
     """Saturated graphs with many cliques split as low-degree set + clique."""
-    _require(n >= 3, "need n >= 3")
-    return _run_op("saturation", {"n": n}, stream, workers)
+    return _sweep("saturation", n, (), stream, workers)

@@ -263,17 +263,34 @@ def test_verify_malformed_line_exits_2(tmp_path):
 
 
 def test_verify_table_matches_sweeps():
-    # cli._VERIFY restates each theorem's parameters; they must agree with the
-    # examiner table and with the public sweep's positional parameters
+    # each public sweep's positional parameters after n are its table entry's
     import inspect
 
-    from nonham import cli, verify
+    from nonham import verify
 
-    assert set(cli._VERIFY) == set(verify._EXAMINERS)
-    for theorem, (sweep, needs) in cli._VERIFY.items():
-        entry = list(inspect.signature(verify._EXAMINERS[theorem]).parameters)
-        assert entry[0] == "n"
-        assert tuple(entry[1:]) == needs, theorem
+    sweeps = {
+        "edge-bound": verify.verify_edge_bound,
+        "clique-bound": verify.verify_clique_bound,
+        "stability": verify.verify_stability,
+        "prior-stability": verify.verify_prior_stability,
+        "star": verify.verify_star_claim,
+        "saturation": verify.verify_saturation_lemmas,
+    }
+    assert set(sweeps) == set(verify._THEOREMS)
+    for theorem, sweep in sweeps.items():
         names = list(inspect.signature(sweep).parameters)
         assert names[0] == "n"
-        assert tuple(names[1:names.index("stream")]) == needs, theorem
+        assert tuple(names[1:names.index("stream")]) == verify._THEOREMS[theorem].params, theorem
+
+
+def test_verify_names_each_missing_flag(capsys):
+    from nonham import verify
+
+    values = {"d": "1", "k": "2", "t": "3"}
+    for theorem, entry in verify._THEOREMS.items():
+        for missing in entry.params:
+            flags = [arg for name in entry.params if name != missing
+                     for arg in (f"--{name}", values[name])]
+            assert main(["verify", theorem, "--n", "5", *flags, "--in", "-"]) == 2
+            err = capsys.readouterr().err
+            assert err == f"nonham: verify {theorem} requires --{missing}\n"
