@@ -4,10 +4,16 @@ A graph lives on vertices ``0..n-1`` with ``n <= 64``; each adjacency row is a
 single int bitmask, so neighbor-set intersections are one machine word wide.
 Vertex subsets are plain int bitmasks as well; every public operation also
 accepts an iterable of vertex indices where a subset is expected.
+
+graph6 decoding reads its payload through a table keyed by lane (the bit
+matrix's row width, 8, 16, 32 or 64): one lookup per payload character gives
+the lower-triangle bits that the character sets, and the rows follow from
+one transpose.  Each lane's table is built on its first decode.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -314,11 +320,37 @@ def _payload_chars(n: int) -> int:
     return (n * (n - 1) // 2 + 5) // 6
 
 
-# Each payload byte, offset 63, with its six bits reversed: read last byte
-# first, they form one int whose bit k is bit k of the payload stream.
-_REVERSED_SIX = bytes(
-    int(f"{c - 63:06b}"[::-1], 2) if 63 <= c < 127 else 0 for c in range(256)
-)
+# The decode table of a lane: payload character k carries stream bits 6k to
+# 6k+5, most significant first, and stream bit b is entry (i, j) of the
+# column-major upper triangle, b = j(j-1)/2 + i, whatever the order n is.
+# Column j of the upper triangle is row j of the lower one, bit j*lane + i of
+# the bit matrix, so the table is keyed by lane, not by n.  Entry k is the
+# shift of the character's first bit and, indexed by the character's byte,
+# the small int of lower-triangle bits that it sets, counted from that
+# shift; ORing the shifted ints gives the lower triangle.  Bytes below 63
+# index zeros that are never read.
+
+
+@lru_cache(maxsize=None)
+def _decode_table(lane: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    chars = _payload_chars(lane)
+    # place[b]: the bit-matrix position of stream bit b, padding included
+    place = [j * lane + i for j in range(1, lane + 1) for i in range(j)]
+    table = []
+    for k in range(chars):
+        shift = place[6 * k]
+        weights = [1 << place[6 * k + 5 - t] - shift for t in range(6)]
+        row = [0] * 128
+        for value in range(1, 64):
+            low = value & -value
+            row[value + 63] = row[(value ^ low) + 63] | weights[low.bit_length() - 1]
+        table.append((shift, tuple(row)))
+    return tuple(table)
+
+
+# one scan for a character outside 63..127; the loop in the decoder then
+# names the first
+_outside_graph6_range = re.compile("[^?-\x7f]").search
 
 
 def graph6_decode(record: str | bytes) -> Graph:
@@ -332,22 +364,24 @@ def graph6_decode(record: str | bytes) -> Graph:
         record = record[len(">>graph6<<") :]
     if not record:
         raise Graph6Error("empty graph6 record")
-    if not ("?" <= min(record) and max(record) <= "\x7f"):
+    if _outside_graph6_range(record):
         for ch in record:
             if not 0 <= ord(ch) - 63 <= 64:
                 raise Graph6Error(f"byte {ord(ch)} outside graph6 range")
-    head = [ord(ch) - 63 for ch in record[:4]]
-    if head[0] <= 62:
-        n, body = head[0], record[1:]
-    elif head[0] == 64:
+    n = ord(record[0]) - 63
+    if n <= 62:
+        body = record[1:]
+    elif n == 64:
         raise Graph6Error("malformed graph6 header byte")
-    elif len(head) >= 2 and head[1] in (63, 64) and len(record) - 2 == _payload_chars(head[1]):
-        n, body = head[1], record[2:]
-    elif len(head) >= 4 and all(v <= 63 for v in head[1:4]):
-        n = head[1] << 12 | head[2] << 6 | head[3]
-        body = record[4:]
     else:
-        raise Graph6Error("malformed extended graph6 header")
+        head = [ord(ch) - 63 for ch in record[1:4]]
+        if head and head[0] in (63, 64) and len(record) - 2 == _payload_chars(head[0]):
+            n, body = head[0], record[2:]
+        elif len(head) == 3 and all(v <= 63 for v in head):
+            n = head[0] << 12 | head[1] << 6 | head[2]
+            body = record[4:]
+        else:
+            raise Graph6Error("malformed extended graph6 header")
     if n == 0:
         raise Graph6Error("graph6 order 0 not representable")
     if n > MAX_ORDER:
@@ -357,16 +391,13 @@ def graph6_decode(record: str | bytes) -> Graph:
     need = _payload_chars(n)
     if len(body) != need:
         raise Graph6Error(f"graph6 payload length {len(body)}, expected {need}")
-    stream = 0
-    for v in reversed(body.encode("ascii").translate(_REVERSED_SIX)):
-        stream = stream << 6 | v
-    # column j of the upper triangle is row j of the lower one
+    data = body.encode("ascii")
+    padding = 6 * need - n * (n - 1) // 2
+    if data and (data[-1] - 63) & ((1 << padding) - 1):
+        raise Graph6Error("nonzero padding bits in graph6 payload")
     lane = _lane(n)
     lower = 0
-    for j in range(1, n):
-        lower |= (stream & ((1 << j) - 1)) << (j * lane)
-        stream >>= j
-    if stream:
-        raise Graph6Error("nonzero padding bits in graph6 payload")
+    for (shift, row), c in zip(_decode_table(lane), data):
+        lower |= row[c] << shift
     # a strict lower triangle plus its transpose: symmetric and loop-free
     return _unchecked_graph(n, _unpack(lower | _transpose(lower, lane), n, lane))

@@ -19,7 +19,8 @@ steps in order, and the first that answers wins:
    (Chvatal, "Tough graphs and hamiltonian circuits", 1973).  The candidate
    sets are each twin class's outside neighborhood and the neighborhood of
    each vertex of minimum degree, which include the separators of H, H',
-   K' and F3;
+   K' and F3.  Last, a cut vertex, found by one depth-first pass (Tarjan
+   1972), rules out a cycle too: a hamiltonian graph is 2-connected;
 3. the search, one exact backtracking kernel on bitmask adjacency rows.  It
    grows a path from a start vertex through a cover set and closes it at an
    anchor outside the unvisited set: a cycle starts and closes at vertex 0
@@ -217,6 +218,45 @@ def _scattered(g: Graph, classes: list[tuple[int, int, bool]]) -> bool:
     return False
 
 
+def _has_cut_vertex(adj: tuple[int, ...]) -> bool:
+    """True when the connected graph with rows ``adj`` has a cut vertex,
+    which rules out a hamiltonian cycle (Tarjan, "Depth-first search and
+    linear graph algorithms", 1972).
+
+    A depth-first search from vertex 0 leaves no cross edges, so every edge
+    out of the subtree of a child c of v ends in that subtree, at v, or at
+    a proper ancestor of v.  A non-root v is a cut vertex exactly when some
+    child's subtree has no neighbor among v's proper ancestors, and the
+    root when it has two children.  Each subtree's neighborhood is the OR
+    of its rows, so the pass does a few mask operations per vertex.
+    """
+    rest = (1 << len(adj)) - 2
+    unvisited = rest
+    reach = list(adj)  # reach[v]: the neighborhood of v's subtree so far
+    above = []  # the proper ancestors of v, root first
+    on_path = 1  # v and its ancestors
+    v = 0
+    while True:
+        nxt = adj[v] & unvisited
+        if nxt:
+            if not v and unvisited != rest:
+                return True  # the root has a second child
+            low = nxt & -nxt
+            unvisited ^= low
+            on_path |= low
+            above.append(v)
+            v = low.bit_length() - 1
+            continue
+        if not above:
+            return False
+        p = above.pop()
+        on_path ^= 1 << v
+        if p and not reach[v] & (on_path ^ 1 << p):
+            return True
+        reach[p] |= reach[v]
+        v = p
+
+
 def _extend_path(
     g: Graph,
     twin: list[int],
@@ -311,6 +351,8 @@ def _closure_complete(g: Graph) -> bool:
 
 def _screen(g: Graph) -> tuple | None:
     """Step 2 of the decision: the checks that run on g before the search.
+    The cut-vertex pass runs last, so graphs that the others settle do not
+    pay for it.
 
     Returns None when one of them rules out a hamiltonian cycle of g, and
     otherwise (cycle, twin, classes): the cycle when forced edges already
@@ -326,7 +368,9 @@ def _screen(g: Graph) -> tuple | None:
         return pre, None, None
     twin = twin_masks(g)
     classes = _capacity_classes(g, twin)
-    return None if _scattered(g, classes) else (None, twin, classes)
+    if _scattered(g, classes) or _has_cut_vertex(g.adj):
+        return None
+    return None, twin, classes
 
 
 def _search_cycle(g: Graph) -> tuple[int, ...] | None:

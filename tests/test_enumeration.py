@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import pytest
 from helpers import oracle_class_count, oracle_min_code, random_graph, reference_min_code
 from nonham.classify import is_isomorphic
 from nonham.enumeration import (
+    _canonical_graphs,
+    _children,
     _min_code_perm,
     apply_filters,
     canonical_form,
@@ -18,6 +21,7 @@ from nonham.families import FAMILY_TAGS, Family, build_GprimeD, build_Gprime2, b
 from nonham.graphs import (
     Graph6Error,
     _triangle_code,
+    _unchecked_graph,
     graph6_encode,
     induced_subgraph,
     min_degree,
@@ -59,6 +63,52 @@ def test_corpus_parents_are_generated():
     order7 = set(enumerate_nonisomorphic(7))
     for g in stream_graph6(str(DATA8)):
         assert induced_subgraph(g, range(7)) in order7, graph6_encode(g)
+
+
+# sha256 of the generator's graph6 lines at each order, taken before the swap
+# test skipped children ahead of the canonicity search
+ORDER_DIGESTS = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    3: "1d237c0da1c599bbd8f4cffdf1fd13171099276e9ca335a1e0c819e4be9b2bea",
+    4: "4779a12d9a07b2a2e13924257ea8b573ba0bd3af65d263532115d2ee564e7762",
+    5: "20785da1cf32ff06b5c7830950a3525a00c0ffc56e24213a2047c413effdf161",
+    6: "6ba261a8381f12c8b4b59ae2c7715cee98a31b3f4c6b5a6bea5ef4eba006a0fc",
+    7: "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f",
+}
+
+
+def test_generator_output_is_pinned():
+    for n, digest in ORDER_DIGESTS.items():
+        lines = "".join(graph6_encode(g) + "\n" for g in enumerate_nonisomorphic(n))
+        assert hashlib.sha256(lines.encode("ascii")).hexdigest() == digest, n
+
+
+def test_swap_test_skips_only_noncanonical_children():
+    # every child of every canonical parent up to order 7: the ones the swap
+    # test skips have a smaller code, and the ones it keeps carry their code
+    searched = {}
+    for n in range(2, 8):
+        new_bit = 1 << (n - 1)
+        searched[n] = 0
+        for parent in _canonical_graphs(n - 1):
+            kept = {}
+            for code, child in _children(parent):
+                assert code == _triangle_code(child)
+                assert induced_subgraph(child, range(n - 1)) == parent
+                kept[code] = child
+            searched[n] += len(kept)
+            for nbhd in range(new_bit):
+                rows = [row | new_bit if nbhd >> v & 1 else row for v, row in enumerate(parent.adj)]
+                child = _unchecked_graph(n, (*rows, nbhd))
+                own = _triangle_code(child)
+                if own in kept:
+                    assert kept.pop(own) == child
+                else:
+                    assert _min_code_perm(child)[0] < own, child
+            assert not kept
+    # of the 156 * 2**6 = 9,984 children at order 7, this many are searched
+    assert searched[7] == 2682
 
 
 def test_import_leaves_numpy_out():

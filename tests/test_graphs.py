@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -212,21 +214,44 @@ def test_graph6_large_orders():
     assert graph6_decode(rec) == complete_graph(63)
 
 
+# the decoder's message for each malformed record, as the bit-by-bit payload
+# decoder gave them before the table replaced it
+MALFORMED = [
+    ("", "empty graph6 record"),
+    (">>graph6<<", "empty graph6 record"),
+    ("B", "graph6 payload length 0, expected 1"),
+    ("Bw~", "graph6 payload length 2, expected 1"),
+    ("F\x01", "byte 1 outside graph6 range"),
+    (" Bw", "byte 32 outside graph6 range"),
+    ("B\x80", "byte 128 outside graph6 range"),
+    (b"\xffBw", "graph6 record is not ASCII"),
+    ("B~", "nonzero padding bits in graph6 payload"),
+    (">>graph6<<B~", "nonzero padding bits in graph6 payload"),
+    ("?", "graph6 order 0 not representable"),
+    ("~???", "graph6 order 0 not representable"),
+    ("\x7f", "malformed graph6 header byte"),
+    ("\x7fBw", "malformed graph6 header byte"),
+    ("A\x7f", "malformed graph6 payload byte"),
+    ("Bw\x7f", "malformed graph6 payload byte"),
+    ("E?\x7f", "malformed graph6 payload byte"),
+    ("~", "malformed extended graph6 header"),
+    ("~~", "malformed extended graph6 header"),
+    ("~~?", "malformed extended graph6 header"),
+    ("~@?", "malformed extended graph6 header"),
+    ("~~" + "?" * 400, "graph6 order 258048 exceeds supported maximum 64"),
+    ("~?~?", "graph6 order 4032 exceeds supported maximum 64"),
+    ("~?A?", "graph6 order 128 exceeds supported maximum 64"),
+    ("~?@@" + "?" * 335, "graph6 order 65 exceeds supported maximum 64"),
+    ("~?@?", "graph6 payload length 0, expected 336"),
+    ("~?@?" + "?" * 335, "graph6 payload length 335, expected 336"),
+]
+
+
 def test_graph6_malformed():
-    with pytest.raises(Graph6Error):
-        graph6_decode("")
-    with pytest.raises(Graph6Error):
-        graph6_decode("B")  # truncated payload
-    with pytest.raises(Graph6Error):
-        graph6_decode("Bw~")  # trailing garbage
-    with pytest.raises(Graph6Error):
-        graph6_decode(chr(70) + chr(1))  # byte below offset
-    with pytest.raises(Graph6Error):
-        graph6_decode("B~")  # nonzero padding bits
-    with pytest.raises(Graph6Error):
-        graph6_decode("~~" + "?" * 400)  # payload length mismatch for n=63
-    with pytest.raises(Graph6Error):
-        graph6_decode("~???")  # three-byte header of order 0
+    for record, message in MALFORMED:
+        with pytest.raises(Graph6Error) as err:
+            graph6_decode(record)
+        assert str(err.value) == message, record
 
 
 def test_graph6_decode_fuzz_never_crashes():
@@ -247,3 +272,43 @@ def test_graph6_order_above_cap_rejected():
     rec = nx.to_graph6_bytes(h, header=False).decode().strip()
     with pytest.raises(Graph6Error):
         graph6_decode(rec)
+
+
+def test_graph6_padding_bits_rejected_at_every_order():
+    # each padding bit of the last character, alone, at every order
+    rng = random.Random(11)
+    for n in range(1, 65):
+        record = graph6_encode(random_graph(rng, n, 0.5))
+        payload = len(record) - (1 if n <= 62 else 2)
+        for b in range(6 * payload - n * (n - 1) // 2):
+            bad = record[:-1] + chr((ord(record[-1]) - 63 | 1 << b) + 63)
+            with pytest.raises(Graph6Error) as err:
+                graph6_decode(bad)
+            assert str(err.value) == "nonzero padding bits in graph6 payload", (n, b)
+
+
+def test_graph6_roundtrip_every_order():
+    rng = random.Random(12)
+    for n in range(1, 65):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0, rng.random()):
+            g = random_graph(rng, n, p)
+            assert graph6_decode(graph6_encode(g)) == g, (n, p)
+        # the two-byte header form of orders 63 and 64, and nauty's three-byte one
+        if n >= 63:
+            g = random_graph(rng, n, 0.5)
+            body = graph6_encode(g)[2:]
+            assert graph6_decode("~" + chr(63) + chr((n >> 6) + 63) + chr((n & 63) + 63) + body) == g
+
+
+def test_import_builds_no_decode_table():
+    # the tables are built on first decode, so importing costs nothing
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import nonham; from nonham.graphs import _decode_table; "
+            "print(_decode_table.cache_info().currsize)",
+        ],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "0"

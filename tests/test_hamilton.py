@@ -19,12 +19,13 @@ from nonham.families import (
     build_Hprime,
     build_Kprime,
 )
-from nonham.graphs import add_edge, build_from_edges, complete_graph, relabel, twin_masks
+from nonham.graphs import add_edge, build_from_edges, complete_graph, graph6_decode, relabel, twin_masks
 from nonham.hamilton import (
     PathPartition,
     _capacity_classes,
     _closure_complete,
     _connected,
+    _has_cut_vertex,
     _scattered,
     _screen,
     find_hamiltonian_cycle,
@@ -300,8 +301,9 @@ def test_screen_on_g_plus_z_never_settles_a_pair_with_a_path():
     # the screen of a u-v path query, called directly on g + z for every
     # ordered pair of every connected class of order 2..7.  The counts pin
     # how many pairs without a path the whole screen settles, and how many
-    # the scattering certificate settles alone
-    settled = scattered = no_path = 0
+    # the scattering certificate and the cut-vertex pass each settle alone;
+    # the screen settled 20358 before it had the cut-vertex pass
+    settled = scattered = cut = no_path = 0
     for n in range(2, 8):
         for g in filter(_connected, enumerate_nonisomorphic(n)):
             for u in range(n):
@@ -312,13 +314,15 @@ def test_screen_on_g_plus_z_never_settles_a_pair_with_a_path():
                     gz = _plus_z(g, u, v)
                     out = _screen(gz) is None
                     certified = _scattered(gz, _classes(gz))
+                    separated = _has_cut_vertex(gz.adj)
                     if ends >> v & 1:
-                        assert not out and not certified, (g, u, v)
+                        assert not out and not certified and not separated, (g, u, v)
                     else:
                         no_path += 1
                         settled += out
                         scattered += certified
-    assert (settled, scattered, no_path) == (20358, 19780, 20896)
+                        cut += separated
+    assert (settled, scattered, cut, no_path) == (20400, 19780, 15048, 20896)
 
     # C4 between opposite vertices: in C4 + z, S = {u, v} leaves three
     # components, the two other vertices and z
@@ -631,3 +635,42 @@ def test_path_partition_validate_rejects_bad():
         PathPartition(((0, 1),)).validate(p3)  # missing vertex
     with pytest.raises(ValueError):
         PathPartition(((0, 1), (1, 2))).validate(p3)  # overlap
+
+
+def test_cut_vertex_pass_matches_vertex_deletion():
+    # a connected graph has a cut vertex iff deleting some vertex disconnects it
+    rng = random.Random(61)
+    graphs = [random_graph(rng, rng.randrange(3, 16), rng.random()) for _ in range(3000)]
+    graphs += [g for n in range(3, 8) for g in enumerate_nonisomorphic(n)]
+    cuts = 0
+    for g in filter(_connected, graphs):
+        full = (1 << g.n) - 1
+        want = False
+        for v in range(g.n):
+            rest = full ^ 1 << v
+            if hamilton._component(g.adj, rest & -rest, rest) != rest:
+                want = True
+        assert _has_cut_vertex(g.adj) == want, g
+        cuts += want
+    assert cuts > 0
+
+
+def test_cut_vertex_settles_a_thinned_family_member(monkeypatch):
+    # a relabelled K'(20,5) with about 15% of its edges removed: vertex 10
+    # is a cut vertex that the scattering candidates miss, so before the
+    # cut-vertex pass the search got no answer within 60 s
+    g = graph6_decode("S|{FoGD]f~~R]fyF}RwIOubxg]gJOBs~O")
+    assert _has_cut_vertex(g.adj)
+    assert not _scattered(g, _classes(g))
+    calls = []
+    search = hamilton._extend_path
+    monkeypatch.setattr(
+        hamilton, "_extend_path", lambda *args: calls.append(args) or search(*args)
+    )
+    assert not is_hamiltonian(g)
+    assert find_hamiltonian_cycle(g) is None
+    assert calls == []
+    monkeypatch.undo()
+    s = saturate(g)
+    assert is_saturated(s)
+    assert all(s.has_edge(u, v) for u, v in g.edges())
