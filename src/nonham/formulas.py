@@ -9,8 +9,9 @@ parameters such as x > floor((n-1)/2).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, isqrt
 from typing import Iterable
 
 
@@ -76,6 +77,26 @@ def d0(n: int) -> int:
     if n % 2:
         return -((n + 1) // -6)
     return -((n + 4) // -6)
+
+
+def clique_count_bound(e: int, k: int) -> int:
+    """Most K_k that a graph with e edges can have (Kruskal 1963; Katona 1968).
+
+    With e = C(a,2) + b and 0 <= b < a, the bound is C(a,k) + C(b,k-1).  The
+    colex graph attains it: K_a plus a vertex joined to b of its vertices.
+    """
+    a = (1 + isqrt(1 + 8 * e)) // 2
+    return comb(a, k) + comb(e - a * (a - 1) // 2, k - 1)
+
+
+def edge_floor(n: int, k: int, threshold: int) -> int:
+    """Least e at which a graph can have more than threshold K_k's.
+
+    C(n,2) + 1 when no graph of order n can, so no graph reaches the floor.
+    """
+    return bisect_left(
+        range(comb(n, 2) + 1), True, key=lambda e: clique_count_bound(e, k) > threshold
+    )
 
 
 def star_count_formula(degree_sequence: Iterable[int], t: int) -> int:

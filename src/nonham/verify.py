@@ -8,16 +8,23 @@ strict, non-strict bounds stay non-strict.
 
 The sweeps differ only in their entry of the theorem table ``_THEOREMS``
 (parameters, range checks, report extras, and the factory that builds an
-examiner once per stripe, with its bounds and templates), which the public
-``verify_*`` functions and the CLI read.  Three shapes cover the six
-theorems: a count held to a bound, attained only by copies of given family
-members when these are named (``_at_most``); a K_k threshold past which the
-graph must fit a template (``_fits_above``); and the saturation lemmas
-(``_saturation``).  Examiners name templates as ``Family`` values;
-``nonham.classify`` decides on the family's quotient whether a graph fits
-or is a copy of one.  Every statement with a minimum degree d is about
-nonhamiltonian graphs with minimum degree >= d; ``_run_stripe`` applies
-that gate once, before the examiner sees the graph.
+examiner once per stripe, with its bounds, templates and K_k thresholds),
+which the public ``verify_*`` functions and the CLI read.  Three shapes
+cover the six theorems: a count held to a bound, attained only by copies
+of given family members when these are named (``_at_most``); a K_k
+threshold past which the graph must fit a template (``_fits_above``); and
+the saturation lemmas (``_saturation``).  Examiners name templates as
+``Family`` values; ``nonham.classify`` decides on the family's quotient
+whether a graph fits or is a copy of one.  Every statement with a minimum
+degree d is about nonhamiltonian graphs with minimum degree >= d; the
+stability theorems and the saturation lemmas also ask for more than a
+threshold number of K_k's, and the lemmas ask for a saturated graph rather
+than a nonhamiltonian one.  ``_run_stripe`` is the one gate, and it tests
+these hypotheses cheapest first, before the examiner sees the graph:
+minimum degree; the K_k count, behind an edge floor from the
+Kruskal-Katona bound; then nonhamiltonicity (no search when the minimum
+degree is at most 1) or saturation.  The hypotheses are a conjunction, so
+their order changes no report.
 
 Reports are deterministic: violations and witnesses are canonically sorted by
 graph6 string, and sharded runs merge into byte-identical reports (modulo the
@@ -45,7 +52,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from nonham.classify import _fits, _is_member, _template_set
 from nonham.counting import count_cliques
 from nonham.families import Family
-from nonham.formulas import e_bound, h_k, star_count_formula
+from nonham.formulas import e_bound, edge_floor, h_k, star_count_formula
 from nonham.graphs import Graph, graph6_encode, min_degree
 from nonham.hamilton import is_hamiltonian, is_saturated
 
@@ -87,35 +94,43 @@ def _clique_max(n: int, x: int, k: int) -> int:
     return max(h_k(n, x, k), h_k(n, _half(n), k))
 
 
-# An examiner sees each graph that passed the gate and returns None when a
-# further hypothesis fails, else (ok, observed, bound, is_witness, tallies).
+class _Examiner(NamedTuple):
+    """A theorem's conclusion, and the hypotheses that ``_run_stripe`` tests
+    before it.
+
+    ``examine(g, count)`` sees each graph that passed the gate, with the K_k
+    count that cleared ``above`` (None when ``above`` is empty), and returns
+    (ok, observed, bound, is_witness, tallies).
+    """
+
+    examine: Callable
+    # (k, threshold) pairs: g must have more than threshold K_k for some k
+    above: tuple[tuple[int, int], ...] = ()
+    saturated: bool = False  # saturated, rather than only nonhamiltonian
 
 
 def _at_most(count: Callable[[Graph], int], bound: int, extremes: tuple[Family, ...] = ()):
     """count(g) <= bound; with extremes, equality only on a copy of one of them."""
 
-    def examine(g: Graph):
+    def examine(g: Graph, _):
         observed = count(g)
         if observed != bound or not extremes:
             return observed <= bound, observed, bound, observed == bound, {}
         ok = any(_is_member(g, fam) for fam in extremes)
         return ok, observed, bound, ok, {"equality": 1}
 
-    return examine
+    return _Examiner(examine)
 
 
 def _fits_above(k: int, threshold: int, families: list[Family]):
     """A graph with more than threshold K_k's fits one of the templates."""
 
-    def examine(g: Graph):
-        observed = count_cliques(g, k)
-        if observed <= threshold:
-            return None
+    def examine(g: Graph, observed: int):
         tallies = {fam.label(): 1 for fam in _fits(g, families)}
         ok = bool(tallies)
         return ok, observed, threshold, ok, tallies
 
-    return examine
+    return _Examiner(examine, ((k, threshold),))
 
 
 def _star(n: int, d: int, t: int):
@@ -152,13 +167,9 @@ def _cover_within(nonedges: list[tuple[int, int]], allowed: list[int], size: int
 
 def _saturation(n: int):
     """Saturated graphs past some K_k threshold split as low-degree set + clique."""
-    thresholds = [(k, h_k(n, _half(n), k)) for k in (2, 3, 4)]
+    thresholds = tuple((k, h_k(n, _half(n), k)) for k in (2, 3, 4))
 
-    def examine(g: Graph):
-        if not is_saturated(g):
-            return None
-        if not any(count_cliques(g, k) > bound for k, bound in thresholds):
-            return None
+    def examine(g: Graph, _):
         r = _complete_complement_radius(g)
         if r is None:
             return False, "no complete-complement set", "some r <= (n-1)/2", False, {}
@@ -170,13 +181,13 @@ def _saturation(n: int):
             tallies["extremal"] = 1
         return True, f"r={r}", "", True, tallies
 
-    return examine
+    return _Examiner(examine, thresholds, saturated=True)
 
 
 class _Theorem(NamedTuple):
     params: tuple[str, ...]  # after n, in the public sweep's positional order
     checks: tuple[str, ...]  # keys of _RANGES, tested in this order
-    examiner: Callable  # (n, *params) -> examiner, built once per stripe
+    examiner: Callable  # (n, *params) -> _Examiner, built once per stripe
     extra: Callable | None = None  # (n, *params) -> the report's extras
 
 
@@ -218,27 +229,46 @@ _RANGES = {
 _CHUNK = 512
 
 
+def _cleared(g: Graph, above: tuple[tuple[int, int], ...]) -> int | None:
+    """The first of g's K_k counts past its threshold, or None."""
+    for k, threshold in above:
+        count = count_cliques(g, k)
+        if count > threshold:
+            return count
+    return None
+
+
 def _run_stripe(op: str, params: dict, graphs: Iterable[Graph]) -> dict:
-    examine = _THEOREMS[op].examiner(**params)
-    d = params.get("d")
+    examine, above, saturated = _THEOREMS[op].examiner(**params)
+    n, d = params["n"], params.get("d", 0)
+    floor = min((edge_floor(n, k, threshold) for k, threshold in above), default=0)
     checked = 0
     total = 0
     violations: set[tuple[str, str, str]] = set()
     witnesses: set[str] = set()
     tallies: dict[str, int] = {}
     for g in graphs:
-        if g.n != params["n"]:
-            raise ValueError(
-                f"stream graph of order {g.n} in a sweep over order {params['n']}"
-            )
+        if g.n != n:
+            raise ValueError(f"stream graph of order {g.n} in a sweep over order {n}")
         total += 1
-        if d is not None and (min_degree(g) < d or is_hamiltonian(g)):
-            continue
-        outcome = examine(g)
-        if outcome is None:
+        if d:  # the saturation lemmas alone have no d
+            delta = min_degree(g)
+            if delta < d:
+                continue
+        count = None
+        if above:
+            if g.edge_count() < floor:
+                continue
+            count = _cleared(g, above)
+            if count is None:
+                continue
+        if saturated:
+            if not is_saturated(g):
+                continue
+        elif delta > 1 and is_hamiltonian(g):
             continue
         checked += 1
-        ok, observed, bound, is_witness, tally = outcome
+        ok, observed, bound, is_witness, tally = examine(g, count)
         for key, val in tally.items():
             tallies[key] = tallies.get(key, 0) + val
         if not ok:

@@ -1,10 +1,15 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from helpers import oracle_count_cliques
+from nonham.enumeration import enumerate_nonisomorphic
 from nonham.formulas import (
+    clique_count_bound,
     d0,
     e_bound,
+    edge_floor,
     falling_factorial,
     gen_binom,
     h,
@@ -12,6 +17,7 @@ from nonham.formulas import (
     n0_threshold,
     star_count_formula,
 )
+from nonham.graphs import build_from_edges
 
 
 def test_falling_factorial():
@@ -123,3 +129,37 @@ def test_n0_threshold():
         n0_threshold(0, 3)
     with pytest.raises(ValueError):
         n0_threshold(1, 2)
+
+
+def colex_graph(n, e):
+    """The first e pairs of [n] in colex order: K_a plus a vertex joined to b of it."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return build_from_edges(n, pairs[:e])
+
+
+def test_clique_count_bound_against_brute_force():
+    for n in range(1, 8):
+        for g in enumerate_nonisomorphic(n):
+            e = g.edge_count()
+            for k in range(2, 6):
+                assert oracle_count_cliques(g, k) <= clique_count_bound(e, k), (n, e, k)
+    for n in range(2, 9):
+        for e in range(comb(n, 2) + 1):
+            g = colex_graph(n, e)
+            for k in range(2, 6):
+                assert oracle_count_cliques(g, k) == clique_count_bound(e, k), (n, e, k)
+
+
+def test_edge_floor_is_the_least_edge_count_past_the_threshold():
+    for n in range(3, 10):
+        top = comb(n, 2)
+        for k in range(2, 6):
+            for threshold in range(comb(n, k) + 2):
+                e = 0
+                while e <= top and clique_count_bound(e, k) <= threshold:
+                    e += 1
+                assert edge_floor(n, k, threshold) == e, (n, k, threshold)
+    # thresholds that no graph of order n exceeds put the floor past K_n
+    assert edge_floor(8, 3, comb(8, 3)) == 29
+    assert edge_floor(7, 2, h_k(7, 5, 2)) == 22  # stability at n=7, d=3
+    assert edge_floor(9, 4, 10**6) == 37

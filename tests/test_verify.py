@@ -189,6 +189,83 @@ def test_stability_synthetic_order9():
     assert report.graphs_checked == 0
 
 
+def test_threshold_past_every_graph_skips_the_counts(monkeypatch):
+    # at n=7, d=3 the h_k(7,5,2) = 26 threshold exceeds C(7,2) = 21, so the
+    # edge floor turns every graph away before a clique count
+    calls = []
+    monkeypatch.setattr(verify, "count_cliques", lambda g, k: calls.append(k) or 0)
+    report = verify_stability(7, 3, 2, stream(7))
+    assert report.verified
+    assert report.graphs_checked == 0
+    assert report.extra["stream_total"] == 1044
+    assert calls == []
+
+
+def test_gate_checks_exactly_the_graphs_meeting_every_hypothesis():
+    # neither the order of the tests nor the edge floor may turn a graph away
+    # that meets the hypotheses, counted here directly at n=7
+    from nonham.counting import count_cliques
+    from nonham.graphs import min_degree
+    from nonham.hamilton import is_hamiltonian, is_saturated
+
+    graphs = list(stream(7))
+    for d in (1, 2, 3):
+        for k in (2, 3, 4):
+            for sweep, x in ((verify_stability, d + 2), (verify_prior_stability, d + 1)):
+                threshold = max(h_k(7, x, k), h_k(7, 3, k))
+                want = sum(
+                    1
+                    for g in graphs
+                    if min_degree(g) >= d
+                    and count_cliques(g, k) > threshold
+                    and not is_hamiltonian(g)
+                )
+                assert sweep(7, d, k, graphs).graphs_checked == want, (sweep, d, k)
+    want = sum(
+        1
+        for g in graphs
+        if is_saturated(g) and any(count_cliques(g, k) > h_k(7, 3, k) for k in (2, 3, 4))
+    )
+    assert want > 0
+    assert verify_saturation_lemmas(7, graphs).graphs_checked == want
+
+
+def test_cheapest_hypothesis_first(monkeypatch):
+    # over the n=8 corpus the hamiltonicity search, or the saturation test,
+    # sees only graphs that cleared the minimum degree, the edge floor and
+    # the K_k threshold; a graph of minimum degree <= 1 needs no search
+    from helpers import REPO_GRAPHS8
+    from nonham.enumeration import stream_graph6
+    from nonham.hamilton import is_hamiltonian, is_saturated
+
+    calls = {"is_hamiltonian": 0, "is_saturated": 0}
+
+    def counting(kernel):
+        def wrapped(g):
+            calls[kernel.__name__] += 1
+            return kernel(g)
+
+        return wrapped
+
+    monkeypatch.setattr(verify, "is_hamiltonian", counting(is_hamiltonian))
+    monkeypatch.setattr(verify, "is_saturated", counting(is_saturated))
+    cases = [
+        # (sweep, most is_hamiltonian calls, most is_saturated calls)
+        (lambda s: verify_stability(8, 1, 2, s), 434, 0),
+        (lambda s: verify_saturation_lemmas(8, s), 0, 590),
+    ]
+    for sweep, ham, sat in cases:
+        calls.update(is_hamiltonian=0, is_saturated=0)
+        assert sweep(stream_graph6(REPO_GRAPHS8)).graphs_checked > 0
+        assert calls["is_hamiltonian"] <= ham, calls
+        assert calls["is_saturated"] <= sat, calls
+    # the edge bound has no threshold: every graph of minimum degree >= 2 is decided
+    calls.update(is_hamiltonian=0, is_saturated=0)
+    report = verify_edge_bound(8, 1, stream_graph6(REPO_GRAPHS8))
+    assert calls == {"is_hamiltonian": 7459, "is_saturated": 0}
+    assert report.graphs_checked == 5106
+
+
 def test_report_schema_and_determinism():
     a = verify_edge_bound(6, 2, stream(6))
     b = verify_edge_bound(6, 2, stream(6))
