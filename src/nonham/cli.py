@@ -50,7 +50,7 @@ def _default_workers() -> int:
 
 def _input_graphs(path: str | None) -> Iterator[Graph]:
     if path is None or path == "-":
-        return decode_graph6_lines(sys.stdin, "<stdin>")
+        return decode_graph6_lines(sys.stdin.buffer, "<stdin>")
     return stream_graph6(path)
 
 
@@ -137,7 +137,7 @@ def _per_graph(parser: argparse.ArgumentParser, command: str) -> None:
 
 
 def _cmd_count(args) -> int:
-    with open(args.pattern, encoding="ascii") as fh:
+    with open(args.pattern, "rb") as fh:
         pattern = graph6_decode(fh.readline())
     automorphisms = 0
     for g in _input_graphs(args.input):

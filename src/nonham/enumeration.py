@@ -45,11 +45,13 @@ external graph6 files.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Iterator
 
 from nonham.graphs import (
     Graph,
     Graph6Error,
+    _decode_block,
     _triangle_code,
     _unchecked_graph,
     graph6_decode,
@@ -357,13 +359,15 @@ def canonical_form(g: Graph) -> Graph:
     return relabel(g, perm)
 
 
-def decode_graph6_lines(lines: Iterable[str], source: str) -> Iterator[Graph]:
-    """Lazily decode graph6 lines, skipping blank ones.
+def decode_graph6_lines(
+    lines: Iterable[str | bytes], source: str, start: int = 1
+) -> Iterator[Graph]:
+    """Lazily decode graph6 lines, skipping blank ones, one line at a time.
 
     A malformed line aborts the stream with ``source:lineno:`` in front of
-    the decoder's message.
+    the decoder's message, the first line counting as ``start``.
     """
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=start):
         line = line.strip()
         if not line:
             continue
@@ -373,13 +377,30 @@ def decode_graph6_lines(lines: Iterable[str], source: str) -> Iterator[Graph]:
             raise Graph6Error(f"{source}:{lineno}: {exc}") from exc
 
 
-def stream_graph6(path: str) -> Iterator[Graph]:
-    """Lazily decode a newline-delimited graph6 file.
+# Lines per block of a graph6 file.
+_BLOCK = 1024
 
-    A malformed line aborts the stream with its line number.
+
+def stream_graph6(path: str) -> Iterator[Graph]:
+    """Lazily decode a newline-delimited graph6 file, a block at a time.
+
+    The file is read as bytes, ``_BLOCK`` lines at a time, and only one
+    block of lines and of decoded rows is held at once.  A block whose
+    records all have the same order and header bytes, with nothing but a
+    newline after each, is decoded at once by ``graphs._decode_block``.
+    Any other block (blank lines, CRLF line ends, a ``>>graph6<<`` header,
+    mixed orders, a malformed record) goes line by line through
+    ``decode_graph6_lines``, so a malformed line aborts the stream with its
+    line number, after the same graphs, and with the same message.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        yield from decode_graph6_lines(fh, path)
+    with open(path, "rb") as fh:
+        start = 1
+        for block in iter(lambda: list(islice(fh, _BLOCK)), []):
+            graphs = _decode_block(block)
+            if graphs is None:
+                graphs = decode_graph6_lines(block, path, start)
+            yield from graphs
+            start += len(block)
 
 
 def apply_filters(

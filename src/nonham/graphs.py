@@ -8,14 +8,23 @@ accepts an iterable of vertex indices where a subset is expected.
 graph6 decoding reads its payload through a table keyed by lane (the bit
 matrix's row width, 8, 16, 32 or 64): one lookup per payload character gives
 the lower-triangle bits that the character sets, and the rows follow from
-one transpose.  Each lane's table is built on its first decode.
+one transpose.  ``graph6_decode`` decodes one record this way and words
+every error.  ``_decode_block`` decodes a block of file lines at once when
+every record in it has the same order and header bytes: a few whole-block
+passes validate it, one ``bytes.translate`` per (lower-triangle byte,
+payload column) pair builds that byte for every record, and one transpose
+of the block's packed int gives every record's rows.  A block that fails a
+check is left to ``graph6_decode``, line by line.  Each lane's tables are
+built on its first decode.
 """
 
 from __future__ import annotations
 
 import re
+import struct
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 MAX_ORDER = 64
@@ -101,12 +110,22 @@ class Graph:
         return out
 
 
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
 def _unchecked_graph(n: int, adj: tuple[int, ...]) -> Graph:
     """A Graph from rows that are symmetric, loop-free and within order ``n``
-    by construction, skipping the packed checks of ``Graph.__post_init__``."""
-    g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "adj", adj)
+    by construction, skipping the packed checks of ``Graph.__post_init__``.
+
+    The fields are set as the dataclass's ``__init__`` sets them, past the
+    frozen ``__setattr__``, with ``object.__setattr__`` bound once.  Writing
+    ``g.__dict__`` instead is cheaper here, but on CPython 3.11 it makes
+    the instance dict real, and every later field load and hash of the
+    graph then takes the slower dict path."""
+    g = _new_object(Graph)
+    _set_field(g, "n", n)
+    _set_field(g, "adj", adj)
     return g
 
 
@@ -168,8 +187,29 @@ def _lane_masks(lane: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return diag, tuple(swaps)
 
 
-def _transpose(m: int, lane: int) -> int:
-    for shift, mask in _lane_masks(lane)[1]:
+@lru_cache(maxsize=None)
+def _block_masks(lane: int, count: int) -> tuple[tuple[int, int], ...]:
+    """``_lane_masks(lane)``'s swaps repeated for ``count`` matrices packed
+    end to end, each ``lane * lane`` bits; no swap crosses a matrix."""
+    size = lane * lane // 8
+    return tuple(
+        (shift, int.from_bytes(mask.to_bytes(size, "little") * count, "little"))
+        for shift, mask in _lane_masks(lane)[1]
+    )
+
+
+def _transpose(m: int, lane: int, count: int = 1) -> int:
+    """Transpose each of ``count`` lane x lane bit matrices packed end to end.
+
+    A block's masks are cached for ``count`` rounded up to a power of two:
+    their high copies meet only zero bits, and an AND of nonnegative ints
+    is as long as the shorter one, so they cost nothing.
+    """
+    if count == 1:
+        swaps = _lane_masks(lane)[1]
+    else:
+        swaps = _block_masks(lane, 1 << (count - 1).bit_length())
+    for shift, mask in swaps:
         t = (m ^ m >> shift) & mask
         m ^= t | t << shift
     return m
@@ -401,3 +441,89 @@ def graph6_decode(record: str | bytes) -> Graph:
         lower |= row[c] << shift
     # a strict lower triangle plus its transpose: symmetric and loop-free
     return _unchecked_graph(n, _unpack(lower | _transpose(lower, lane), n, lane))
+
+
+# The block tables of a lane, read off its decode table: one entry per pair
+# of a lower-triangle byte q (its offset in the little-endian bytes of a
+# lane x lane bit matrix) and a payload character c that sets bits of q,
+# with the 256-byte translate table that maps c's byte to those bits.  A
+# byte lies in one row, whose stream bits are consecutive, so the characters
+# that feed it are consecutive too, at most three of them for eight bits:
+# c % 3 tells them apart, and the entry writes layer c % 3 of three that OR
+# together.  Entries run in byte order, so the entries of rows below n, which
+# an order-n record uses, are a prefix; ends[n] is its length.
+
+
+@lru_cache(maxsize=None)
+def _block_table(lane: int) -> tuple[tuple[tuple[int, int, bytes], ...], tuple[int, ...]]:
+    matrix = lane * lane // 8
+    entries = []
+    for c, (shift, row) in enumerate(_decode_table(lane)):
+        every = row[126] << shift  # every bit that character c can set
+        for q in range(shift // 8, min(matrix, (every.bit_length() + 7) // 8)):
+            if every >> 8 * q & 255:
+                byte = bytes(value << shift >> 8 * q & 255 for value in row[63:127])
+                entries.append((q, c, bytes(63) + byte + bytes(129)))
+    entries.sort()
+    ends = tuple(bisect_left(entries, (n * lane // 8,)) for n in range(lane + 1))
+    return tuple(entries), ends
+
+
+@lru_cache(maxsize=None)
+def _zero_padded(padding: int) -> bytes:
+    """The payload bytes whose low ``padding`` bits are clear."""
+    return bytes(c for c in range(63, 127) if not (c - 63) & (1 << padding) - 1)
+
+
+# every byte of a block of well-formed records is a payload byte, a newline,
+# or a header byte; only n = 64's two-byte header holds 127
+_BLOCK_BYTES = bytes(range(63, 128)) + b"\n"
+_ROW_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _decode_block(lines: list[bytes]) -> Iterator[Graph] | None:
+    """The graphs of a non-empty block of newline-terminated graph6 lines, or
+    None when a check fails, for ``graph6_decode`` to redo line by line and
+    word the error.
+
+    The first line must decode.  Every line must then have its length with
+    a newline only at the end, and its header bytes; every payload byte must
+    lie in 63..126 and every padding bit must be clear.  Each record then
+    decodes as the first does, to the graph that ``graph6_decode`` gives.
+    """
+    first = lines[0]
+    try:
+        n = graph6_decode(first).n
+    except Graph6Error:
+        return None
+    count, size, chars = len(lines), len(first), _payload_chars(n)
+    head = size - 1 - chars
+    data = b"".join(lines)
+    # each line ends in its only newline, so newlines at every multiple of
+    # the first line's length make every line that long
+    if (
+        data[size - 1 :: size] != b"\n" * count
+        or data.translate(None, _BLOCK_BYTES)
+        or data.count(127) != first.count(127) * count
+        or any(data[k::size] != first[k : k + 1] * count for k in range(head))
+        or chars
+        and data[size - 2 :: size].translate(None, _zero_padded(6 * chars - n * (n - 1) // 2))
+    ):
+        return None
+    lane = _lane(n)
+    entries, ends = _block_table(lane)
+    matrix = lane * lane // 8
+    columns = [data[head + c :: size] for c in range(chars)]
+    layers = [bytearray(count * matrix) for _ in range(3)]
+    for q, c, table in entries[: ends[n]]:
+        layers[c % 3][q::matrix] = columns[c].translate(table)
+    lower = 0
+    for layer in layers:
+        lower |= int.from_bytes(layer, "little")
+    # a strict lower triangle plus its transpose: symmetric and loop-free
+    full = lower | _transpose(lower, lane, count)
+    width = lane // 8
+    rows = struct.iter_unpack(
+        f"<{n}{_ROW_CODES[width]}{(lane - n) * width}x", full.to_bytes(count * matrix, "little")
+    )
+    return map(partial(_unchecked_graph, n), rows)

@@ -262,6 +262,21 @@ def test_verify_malformed_line_exits_2(tmp_path):
             assert proc.stderr.startswith(f"nonham: {name}:3: ")
 
 
+def test_non_ascii_line_is_named_on_both_input_paths(tmp_path):
+    # both paths read bytes: line 1 is answered, then line 2 is named
+    data = b"Bw\nB\xff\n"
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    for args, stdin, name in ((["--in", str(path)], b"", str(path)), ([], data, "<stdin>")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonham.cli", "ham", "check", *args],
+            capture_output=True, input=stdin,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b"true\n"
+        assert proc.stderr == f"nonham: {name}:2: graph6 record is not ASCII\n".encode()
+
+
 def test_verify_table_matches_sweeps():
     # each public sweep's positional parameters after n are its table entry's
     import inspect

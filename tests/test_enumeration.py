@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import oracle_class_count, oracle_min_code, random_graph, reference_min_code
+from nonham import enumeration
 from nonham.classify import is_isomorphic
 from nonham.enumeration import (
     _canonical_graphs,
@@ -20,8 +21,11 @@ from nonham.enumeration import (
 from nonham.families import FAMILY_TAGS, Family, build_GprimeD, build_Gprime2, build_Hprime
 from nonham.graphs import (
     Graph6Error,
+    _decode_block,
     _triangle_code,
     _unchecked_graph,
+    complete_graph,
+    graph6_decode,
     graph6_encode,
     induced_subgraph,
     min_degree,
@@ -247,6 +251,178 @@ def test_stream_graph6(tmp_path):
     with pytest.raises(Graph6Error) as exc_info:
         list(stream_graph6(str(bad)))
     assert ":2:" in str(exc_info.value)
+    # a file is read as bytes: a non-ASCII line is named after the lines
+    # before it are answered
+    bad.write_bytes(b"Bw\nB\xff\n")
+    assert outcome(stream_graph6(str(bad))) == (
+        [complete_graph(3)], f"{bad}:2: graph6 record is not ASCII"
+    )
+
+
+def outcome(stream):
+    """The graphs a stream yields and the message it stops with, if any."""
+    graphs = []
+    try:
+        for g in stream:
+            graphs.append(g)
+    except Graph6Error as exc:
+        return graphs, str(exc)
+    return graphs, None
+
+
+def per_line_outcome(data: bytes, source: str):
+    """What ``stream_graph6`` must give for a file's bytes: ``graph6_decode``
+    on each stripped non-blank line, its line number on the first error."""
+
+    def graphs():
+        for lineno, line in enumerate(data.split(b"\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield graph6_decode(line)
+            except Graph6Error as exc:
+                raise Graph6Error(f"{source}:{lineno}: {exc}") from exc
+
+    return outcome(graphs())
+
+
+def assert_stream_agrees(tmp_path, data: bytes):
+    path = tmp_path / "stream.g6"
+    path.write_bytes(data)
+    assert outcome(stream_graph6(str(path))) == per_line_outcome(data, str(path))
+
+
+def test_stream_graph6_agrees_with_graph6_decode_on_the_corpus():
+    # 12,346 lines: twelve full blocks and a short one
+    records = DATA8.read_bytes().split()
+    assert len(records) % enumeration._BLOCK
+    assert list(stream_graph6(str(DATA8))) == [graph6_decode(r) for r in records]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # a few lines per block, so a short file crosses many block boundaries
+    monkeypatch.setattr(enumeration, "_BLOCK", 7)
+    return 7
+
+
+def test_stream_graph6_block_path_at_every_order(tmp_path, small_blocks):
+    rng = random.Random(61)
+    every = []
+    for n in range(1, 65):
+        # 3 full blocks and part of a fourth, dense to sparse; n = 63 and 64
+        # in nauty's four-byte header for 2 blocks, then in the two-byte one
+        graphs = [random_graph(rng, n, rng.random()) for _ in range(3 * small_blocks + 4)]
+        every += graphs
+        records = [graph6_encode(g) for g in graphs]
+        if n >= 63:
+            nauty = "~?" + chr((n >> 6) + 63) + chr((n & 63) + 63)
+            records[: 2 * small_blocks] = [nauty + r[2:] for r in records[: 2 * small_blocks]]
+        data = "".join(r + "\n" for r in records).encode("ascii")
+        assert_stream_agrees(tmp_path, data)
+        assert list(stream_graph6(str(tmp_path / "stream.g6"))) == graphs
+        # each full block takes the block path
+        lines = data.splitlines(keepends=True)
+        for at in range(0, 3 * small_blocks, small_blocks):
+            block = _decode_block(lines[at : at + small_blocks])
+            assert list(block) == graphs[at : at + small_blocks]
+        # without the last newline
+        assert_stream_agrees(tmp_path, data[:-1])
+    # mixed orders, and the same length at different orders (3 and 4)
+    rng.shuffle(every)
+    mixed = every[:60] + [complete_graph(3), complete_graph(4)] * 10
+    data = "".join(graph6_encode(g) + "\n" for g in mixed).encode("ascii")
+    assert_stream_agrees(tmp_path, data)
+    assert list(stream_graph6(str(tmp_path / "stream.g6"))) == mixed
+
+
+def test_stream_graph6_irregular_lines(tmp_path, small_blocks):
+    rng = random.Random(62)
+    records = [graph6_encode(random_graph(rng, 8, 0.5)).encode("ascii") for _ in range(40)]
+    body = b"\n".join(records) + b"\n"
+    assert_stream_agrees(tmp_path, body)
+    # blank lines, CRLF, surrounding blanks, a >>graph6<< header line by line
+    # and on the first line only, and a file of nauty's order-63 headers
+    for data in (
+        b"\n".join(records[:9]) + b"\n\n\n" + b"\n".join(records[9:]) + b"\n",
+        b"\r\n".join(records) + b"\r\n",
+        b"  " + b"\n".join(records) + b" \n",
+        b"\n".join(b">>graph6<<" + r for r in records) + b"\n",
+        b">>graph6<<" + body,
+        b"\n" * 20 + body,
+        "".join(
+            "~??~" + graph6_encode(random_graph(rng, 63, 0.5))[2:] + "\n" for _ in range(10)
+        ).encode("ascii"),
+    ):
+        assert_stream_agrees(tmp_path, data)
+        assert outcome(stream_graph6(str(tmp_path / "stream.g6")))[1] is None
+
+
+# malformed replacements for one order-8 record, and their messages
+BAD_RECORDS = [
+    (b"G?", "graph6 payload length 1, expected 5"),
+    (b"G??????", "graph6 payload length 6, expected 5"),
+    (b"G??\x10??", "byte 16 outside graph6 range"),
+    (b"G??\xff??", "graph6 record is not ASCII"),
+    (b"G????@", "nonzero padding bits in graph6 payload"),
+    (b"G??\x7f??", "malformed graph6 payload byte"),
+    (b"~@", "malformed extended graph6 header"),
+    (b"?", "graph6 order 0 not representable"),
+]
+
+
+def test_stream_graph6_malformed_line_at_block_edges(tmp_path, small_blocks):
+    rng = random.Random(63)
+    records = [graph6_encode(random_graph(rng, 8, 0.5)).encode("ascii") for _ in range(30)]
+    # line 1, the middle and the end of a block, the first line after a
+    # block boundary, and the last line of the file
+    for lineno in (1, 4, small_blocks, small_blocks + 1, 2 * small_blocks + 1, 30):
+        for bad, message in BAD_RECORDS:
+            lines = list(records)
+            lines[lineno - 1] = bad
+            data = b"\n".join(lines) + b"\n"
+            path = tmp_path / "stream.g6"
+            path.write_bytes(data)
+            graphs, error = outcome(stream_graph6(str(path)))
+            assert error == f"{path}:{lineno}: {message}"
+            assert graphs == [graph6_decode(r) for r in records[: lineno - 1]]
+            assert (graphs, error) == per_line_outcome(data, str(path))
+    # a short line and a long one that make up two lines' length, of bytes
+    # that pass the header and padding columns
+    data = b"GGGGGG\nGGGG\nGGGGGGGG\n"
+    assert per_line_outcome(data, "x")[1] == "x:2: graph6 payload length 3, expected 5"
+    assert_stream_agrees(tmp_path, data)
+    # n = 64's second header byte is 127, which no payload may hold
+    wide = [graph6_encode(random_graph(rng, 64, 0.5)).encode("ascii") for _ in range(9)]
+    wide[8] = wide[8][:-1] + b"\x7f"
+    data = b"\n".join(wide) + b"\n"
+    assert per_line_outcome(data, "x")[1] == "x:9: malformed graph6 payload byte"
+    assert_stream_agrees(tmp_path, data)
+
+
+def test_stream_graph6_mutation_fuzz(tmp_path, small_blocks):
+    # seeded single-byte edits of multi-line files: replace, insert, delete
+    rng = random.Random(64)
+    for trial in range(400):
+        n = rng.choice((1, 2, 3, 5, 8, 13, 17, 33, 63, 64))
+        data = bytearray(
+            "".join(
+                graph6_encode(random_graph(rng, n, rng.random())) + "\n"
+                for _ in range(rng.randrange(1, 3 * small_blocks))
+            ).encode("ascii")
+        )
+        for _ in range(rng.randrange(1, 4)):
+            at = rng.randrange(len(data))
+            edit = rng.randrange(3)
+            byte = rng.choice((rng.randrange(256), rng.randrange(63, 128), 10, 13, 32))
+            if edit == 0:
+                data[at] = byte
+            elif edit == 1:
+                data.insert(at, byte)
+            elif len(data) > 1:
+                del data[at]
+        assert_stream_agrees(tmp_path, bytes(data))
 
 
 def test_order8_corpus():

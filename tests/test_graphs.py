@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from helpers import all_labeled_graphs, hand_graph6, random_graph, reference_che
 from nonham.graphs import (
     Graph,
     Graph6Error,
+    _unchecked_graph,
     add_edge,
     build_from_edges,
     complete_graph,
@@ -306,9 +308,22 @@ def test_import_builds_no_decode_table():
         [
             sys.executable,
             "-c",
-            "import nonham; from nonham.graphs import _decode_table; "
-            "print(_decode_table.cache_info().currsize)",
+            "import nonham; from nonham import graphs; print(*(f.cache_info().currsize for f in "
+            "(graphs._decode_table, graphs._block_table, graphs._block_masks, graphs._zero_padded)))",
         ],
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "0"
+    assert proc.stdout.split() == ["0"] * 4
+
+
+def test_unchecked_graph_is_the_checked_value():
+    rng = random.Random(13)
+    for n in (1, 2, 7, 8, 9, 33, 64):
+        g = random_graph(rng, n, 0.5)
+        fast = _unchecked_graph(g.n, g.adj)
+        assert fast == g and hash(fast) == hash(g)
+        assert fast.edges() == g.edges()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.n = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.adj = ()
