@@ -21,8 +21,6 @@ from nonham.graphs import (
     degree,
     graph6_decode,
     graph6_encode,
-    induced_subgraph,
-    is_independent,
     min_degree,
 )
 from nonham.formulas import (
@@ -60,7 +58,6 @@ from nonham.counting import (
     automorphism_count,
     count_cliques,
     count_labeled_embeddings,
-    count_unlabeled,
 )
 from nonham.classify import (
     ClassificationResult,

@@ -5,8 +5,8 @@ low-degree vertices.  A graph g fits a template exactly when g has a set B of
 the template's size whose vertices are under the template's degree cap,
 whose induced graph g[B] the template allows, and whose neighbours outside B
 fit in the template's attachment set; A is a clique, so the other vertices
-can go anywhere in it.  ``_low_side`` computes these numbers from the family
-table in ``nonham.families``, where B is the low parts:
+can go anywhere in it.  ``Family.low_side`` computes these numbers from the
+family's quotient, where B is the low parts:
 
 =========  ====  ==========  ===============  =============================
 family     |B|   degree cap  g[B]             N(B) - B
@@ -20,9 +20,10 @@ F_3(n)     4     3           a matching       at most 2 vertices
 
 ``match_template`` searches for B directly (for K', as components of g - x
 for a cut vertex x) and returns the witness in ``Family.build()``'s vertex
-layout.  ``_fits`` runs it and checks every witness against the built
-template; ``classify`` and the sweeps of ``nonham.verify`` ask it which
-templates a graph fits, and ``_is_member`` whether a graph is a copy of one.
+layout (``Family.starts``).  ``_fits`` runs it and checks every witness
+against ``Family.rows``; ``classify`` and the sweeps of ``nonham.verify``
+ask it which templates a graph fits, and ``_is_member`` whether a graph is
+a copy of one.
 
 ``spanning_subgraph_of`` is the generic search for a bijection between
 equal-order vertex sets carrying every edge of a graph into any template.
@@ -35,9 +36,8 @@ calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from nonham.families import _QUOTIENTS, Family
+from nonham.families import Family
 from nonham.graphs import Graph, bits, mask_of, twin_masks
 
 
@@ -111,31 +111,6 @@ def _layout(n: int, fixed: dict[int, int]) -> list[int]:
     return [w if w >= 0 else next(free) for w in result]
 
 
-@lru_cache(maxsize=64)
-def _low_side(fam: Family) -> tuple[int, int, int, int]:
-    """(|B|, degree cap on B, edges g[B] may have, bound on |N(B) - B|), by
-    arithmetic on the family's quotient: B is its low parts, and each low
-    part is a clique or independent and joined only to parts outside B."""
-    q = _QUOTIENTS[fam.tag]
-    sizes = q.sizes(fam.n, fam.d)
-    size = cap = twice_edges = reach = 0
-    for p in bits(q.low):
-        if sizes[p]:
-            inner = sizes[p] - 1 if q.cliques[p] else 0
-            outer = sum(sizes[r] for r in bits(q.full[p])) + q.paired[p].bit_count()
-            size += sizes[p]
-            cap = max(cap, inner + outer)
-            twice_edges += sizes[p] * inner
-            reach |= q.full[p] | q.paired[p]
-    return size, cap, twice_edges // 2, sum(sizes[r] for r in bits(reach))
-
-
-@lru_cache(maxsize=64)
-def _template(fam: Family) -> Graph:
-    """``fam.build()``, built once per family member: Graph is frozen."""
-    return fam.build()
-
-
 def _search_low_side(g: Graph, fam: Family) -> list[int] | None:
     """Choose B vertex by vertex among the vertices under the degree cap.
 
@@ -146,11 +121,13 @@ def _search_low_side(g: Graph, fam: Family) -> list[int] | None:
     passes over its twins too: swapping twins is an automorphism of g.
     """
     n, adj = g.n, g.adj
-    size, cap, max_edges, attach = _low_side(fam)
+    size, cap, max_edges, attach = fam.low_side()
     cand = sorted(
         (v for v in range(n) if adj[v].bit_count() <= cap),
         key=lambda v: (adj[v].bit_count(), v),
     )
+    if len(cand) < size:
+        return None
     twin = twin_masks(g)
     chosen: list[int] = []
 
@@ -197,7 +174,7 @@ def _place_low_side(g: Graph, fam: Family, low: list[int], nb: int) -> list[int]
     """
     n = g.n
     if fam.tag == "gprime2":
-        return _place_gprime2(g, low, nb)
+        return _place_gprime2(g, fam, low, nb)
     bmask = mask_of(low)
     order = [v for v in low if not g.adj[v] & bmask]
     for v in low:
@@ -209,23 +186,23 @@ def _place_low_side(g: Graph, fam: Family, low: list[int], nb: int) -> list[int]
     return _layout(n, fixed)
 
 
-def _place_gprime2(g: Graph, low: list[int], nb: int) -> list[int] | None:
+def _place_gprime2(g: Graph, fam: Family, low: list[int], nb: int) -> list[int] | None:
     """Find distinct a_1, a_2, a_3, x with N(b_i) inside {a_i, x}."""
-    n = g.n
     for x in [*bits(nb), None]:
         rest = [g.adj[b] & ~(0 if x is None else 1 << x) for b in low]
         named = [r for r in rest if r]
         if any(r & (r - 1) for r in named) or len(set(named)) < len(named):
             continue
-        fixed = {b: n - 3 + i for i, b in enumerate(low)}
-        fixed.update((r.bit_length() - 1, i) for i, r in enumerate(rest) if r)
+        start = fam.starts()
+        fixed = {b: start["b"] + i for i, b in enumerate(low)}
+        fixed.update((r.bit_length() - 1, start["A"] + i) for i, r in enumerate(rest) if r)
         if x is not None:
-            fixed[x] = 3
-        return _layout(n, fixed)
+            fixed[x] = start["X"]
+        return _layout(g.n, fixed)
     return None
 
 
-def _match_kprime(g: Graph, d: int) -> list[int] | None:
+def _match_kprime(g: Graph, fam: Family) -> list[int] | None:
     """B is a union of components of g - x with d vertices in all.
 
     A component of at most d vertices has all its degrees at most d, and a
@@ -233,7 +210,7 @@ def _match_kprime(g: Graph, d: int) -> list[int] | None:
     components are grown from low-degree vertices and dropped once too big.
     A subset sum over the sizes that remain picks B for each cut vertex x.
     """
-    n, adj = g.n, g.adj
+    n, adj, d = g.n, g.adj, fam.d
     low = mask_of(v for v in range(n) if adj[v].bit_count() <= d)
     if low.bit_count() < d:
         return None
@@ -256,8 +233,9 @@ def _match_kprime(g: Graph, d: int) -> list[int] | None:
                 if total + size <= d:
                     sums.setdefault(total + size, mask | comp)
             if d in sums:
-                fixed = {v: n - d + i for i, v in enumerate(bits(sums[d]))}
-                fixed[x] = n - d - 1
+                start = fam.starts()
+                fixed = {v: start["S"] + i for i, v in enumerate(bits(sums[d]))}
+                fixed[x] = start["X"]
                 return _layout(n, fixed)
     return None
 
@@ -276,7 +254,7 @@ def match_template(g: Graph, fam: Family) -> list[int] | None:
     if fam.tag == "gprimed" or not fam.is_valid():
         raise ValueError(f"no structural template for {fam.label()}")
     if fam.tag == "kprime":
-        return _match_kprime(g, fam.d)
+        return _match_kprime(g, fam)
     return _search_low_side(g, fam)
 
 
@@ -311,16 +289,16 @@ def _template_set(n: int, d: int) -> tuple[list[Family], list[Family]]:
 def _fits(g: Graph, families: list[Family]) -> dict[Family, list[int]]:
     """The families g is a spanning subgraph of, in the order given, each with
     its witness from ``match_template``, checked to be a bijection that
-    carries every edge of g onto an edge of the built template."""
+    carries every edge of g onto an edge of the template's rows."""
     found: dict[Family, list[int]] = {}
     for fam in families:
         mapping = match_template(g, fam)
         if mapping is None:
             continue
-        template = _template(fam)
+        rows = fam.rows()
         if sorted(mapping) != list(range(g.n)):
             raise AssertionError("witness is not a bijection")
-        if not all(template.has_edge(mapping[u], mapping[v]) for u, v in g.edges()):
+        if not all(rows[mapping[u]] >> mapping[v] & 1 for u, v in g.edges()):
             raise AssertionError("witness does not preserve an edge")
         found[fam] = mapping
     return found
@@ -329,7 +307,8 @@ def _fits(g: Graph, families: list[Family]) -> dict[Family, list[int]]:
 def _is_member(g: Graph, fam: Family) -> bool:
     """Whether g is a copy of ``fam.build()``: a spanning subgraph with as
     many edges is the template itself."""
-    return g.edge_count() == _template(fam).edge_count() and bool(_fits(g, [fam]))
+    edges = sum(row.bit_count() for row in fam.rows()) // 2
+    return g.edge_count() == edges and bool(_fits(g, [fam]))
 
 
 def classify(g: Graph, d: int) -> ClassificationResult:

@@ -28,7 +28,7 @@ from nonham.enumeration import (
     enumerate_nonisomorphic,
     stream_graph6,
 )
-from nonham.families import _QUOTIENTS, FAMILY_TAGS, Family
+from nonham.families import FAMILY_TAGS, Family
 from nonham.graphs import Graph, Graph6Error, graph6_decode, graph6_encode
 from nonham.hamilton import (
     find_hamiltonian_cycle,
@@ -60,9 +60,10 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.d is None and _QUOTIENTS[args.family].takes_d:
+    fam = Family(args.family, args.n, args.d or 0)
+    if args.d is None and fam.takes_d:
         raise ValueError(f"gen --family {args.family} requires --d")
-    g = Family(args.family, args.n, args.d or 0).build()
+    g = fam.build()
     if args.format == "json":
         print(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}))
     else:

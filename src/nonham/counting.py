@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from nonham.formulas import falling_factorial
-from nonham.graphs import Graph, bits
+from nonham.graphs import Graph, _twin_groups, bits
 
 
 def _pattern_order(f: Graph) -> list[int]:
@@ -106,13 +106,7 @@ def count_cliques(g: Graph, k: int) -> int:
         raise ValueError("count_cliques needs k >= 1")
     adj = g.adj
     # closed-twin classes, keyed by their common closed neighbourhood
-    classes: dict[int, int] = {}
-    if k >= 3:
-        bit = 1
-        for row in adj:
-            closed = row | bit
-            classes[closed] = classes.get(closed, 0) | bit
-            bit <<= 1
+    classes = _twin_groups(adj)[1] if k >= 3 else {}
 
     def rec(cand: int, need: int) -> int:
         if need == 1:
@@ -161,8 +155,3 @@ def _unlabeled(labeled: int, automorphisms: int) -> int:
             "this signals a counting bug"
         )
     return labeled // automorphisms
-
-
-def count_unlabeled(g: Graph, f: Graph) -> int:
-    """Unlabeled copies of f in g: labeled count over |Aut(f)|, exact."""
-    return _unlabeled(count_labeled_embeddings(g, f), automorphism_count(f))

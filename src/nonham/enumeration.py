@@ -53,6 +53,7 @@ from nonham.graphs import (
     Graph6Error,
     _decode_block,
     _triangle_code,
+    _twin_groups,
     _unchecked_graph,
     graph6_decode,
     min_degree,
@@ -128,21 +129,6 @@ def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
             "supply an external graph6 stream for larger orders"
         )
     yield from _canonical_graphs(n)
-
-
-def _lower_twins(adj: tuple[int, ...]) -> list[int]:
-    """lower[w]: the vertices below w with w's open or closed neighborhood."""
-    opened: dict[int, int] = {}
-    closed: dict[int, int] = {}
-    lower = []
-    for w, row in enumerate(adj):
-        shut = row | 1 << w
-        below_open = opened.get(row, 0)
-        below_closed = closed.get(shut, 0)
-        lower.append(below_open | below_closed)
-        opened[row] = below_open | 1 << w
-        closed[shut] = below_closed | 1 << w
-    return lower
 
 
 def _maximum_independent_sets(adj: tuple[int, ...], lower: list[int]) -> list[int]:
@@ -235,7 +221,8 @@ def _min_code_perm(g: Graph, own: int | None = None) -> tuple[int, list[int]]:
     m = n * (n - 1) // 2
     full = (1 << n) - 1
     # lower[w]: w's twins below it; w is tried only once they are all placed
-    lower = _lower_twins(adj)
+    opened, closed = _twin_groups(adj)
+    lower = [(opened[row] | closed[row | 1 << w]) & ((1 << w) - 1) for w, row in enumerate(adj)]
     stop = own is not None
     best = own if stop else 1 << m
     best_order = list(range(n))

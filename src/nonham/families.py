@@ -5,10 +5,11 @@ or independent sets (a lower-case name), any two completely joined (``a-b``)
 or not.  ``a=b`` joins the i-th vertices of a and b alone, each part then
 standing for a row of one-vertex parts.  An entry of ``_QUOTIENTS`` gives the
 builder's error and valid (n, d) range, the parts in order with their sizes,
-and the joins.  ``Family.build`` is the one blow-up.  The parts in order are
-the vertex layout, so graph6 output is byte-reproducible: attachment vertices
-first, then the rest C of the big clique, then the low parts (those not
-joined to C), which are the set B that ``nonham.classify`` searches for.
+and the joins; no other module reads it, as ``Family`` answers for its
+quotient.  ``Family.rows`` is the one blow-up.  The parts in order are the
+vertex layout (``Family.starts``), so graph6 output is byte-reproducible.
+The low parts, those not joined to the big clique C, come last: they are
+the set B that ``nonham.classify`` searches for (``Family.low_side``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import accumulate, product
 
 from nonham.graphs import Graph, _check_order, bits
 
-_Quotient = namedtuple("_Quotient", "error valid sizes cliques full paired low takes_d")
+_Quotient = namedtuple("_Quotient", "error valid names sizes cliques full paired low takes_d")
 
 
 def _declare(error, valid, parts, sizes, joins, takes_d=True) -> _Quotient:
@@ -34,7 +35,7 @@ def _declare(error, valid, parts, sizes, joins, takes_d=True) -> _Quotient:
     low = (1 << len(bit)) - 1 & ~(full["C"] | bit["C"])
     cliques = tuple(not name.islower() for name in bit)
     full, paired = tuple(full.values()), tuple(paired.values())
-    return _Quotient(error, valid, sizes, cliques, full, paired, low, takes_d)
+    return _Quotient(error, valid, tuple(bit), sizes, cliques, full, paired, low, takes_d)
 
 
 _QUOTIENTS = {
@@ -79,18 +80,46 @@ class Family:
         """Whether the parameters are in the family's defined range."""
         return _QUOTIENTS[self.tag].valid(self.n, self.d)
 
+    @property
+    def takes_d(self) -> bool:
+        """Whether the family has a degree parameter (G'_2 and F_3 have none)."""
+        return _QUOTIENTS[self.tag].takes_d
+
     def label(self) -> str:
-        if _QUOTIENTS[self.tag].takes_d:
+        if self.takes_d:
             return f"{self.tag}({self.n},{self.d})"
         return f"{self.tag}({self.n})"
 
-    def build(self) -> Graph:
-        """The blow-up of the family's quotient, parts in declared order."""
+    def starts(self) -> dict[str, int]:
+        """The first vertex of each part, by part name, in vertex order."""
+        q = _QUOTIENTS[self.tag]
+        return dict(zip(q.names, accumulate(q.sizes(self.n, self.d), initial=0)))
+
+    def low_side(self) -> tuple[int, int, int, int]:
+        """(|B|, degree cap on B, edges g[B] may have, bound on |N(B) - B|)
+        for B the low parts, by arithmetic on the quotient: each low part is
+        a clique or independent and joined only to parts outside B."""
+        q = _QUOTIENTS[self.tag]
+        sizes = q.sizes(self.n, self.d)
+        size = cap = twice_edges = reach = 0
+        for p in bits(q.low):
+            if sizes[p]:
+                inner = sizes[p] - 1 if q.cliques[p] else 0
+                outer = sum(sizes[r] for r in bits(q.full[p])) + q.paired[p].bit_count()
+                size += sizes[p]
+                cap = max(cap, inner + outer)
+                twice_edges += sizes[p] * inner
+                reach |= q.full[p] | q.paired[p]
+        return size, cap, twice_edges // 2, sum(sizes[r] for r in bits(reach))
+
+    def rows(self) -> tuple[int, ...]:
+        """The rows of the blow-up of the family's quotient, parts in declared
+        order; the range and the order are checked before any row is built."""
         q, n, d = _QUOTIENTS[self.tag], self.n, self.d
         if not q.valid(n, d):
             raise ValueError(q.error.format(n=n, d=d, half=(n - 1) // 2))
         _check_order(n)
-        first = [0, *accumulate(q.sizes(n, d))]
+        first = [*self.starts().values(), n]
         masks = [(1 << end) - (1 << start) for start, end in zip(first, first[1:])]
         rows = []
         for p, mask in enumerate(masks):
@@ -100,7 +129,11 @@ class Family:
             if q.paired[p]:
                 for r, v in product(bits(q.paired[p]), part):
                     rows[v] |= 1 << v - first[p] + first[r]
-        return Graph(n, tuple(rows))
+        return tuple(rows)
+
+    def build(self) -> Graph:
+        """The blow-up as a Graph (see ``rows``)."""
+        return Graph(self.n, self.rows())
 
 
 def build_H(n: int, d: int) -> Graph:

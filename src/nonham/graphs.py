@@ -2,8 +2,7 @@
 
 A graph lives on vertices ``0..n-1`` with ``n <= 64``; each adjacency row is a
 single int bitmask, so neighbor-set intersections are one machine word wide.
-Vertex subsets are plain int bitmasks as well; every public operation also
-accepts an iterable of vertex indices where a subset is expected.
+Vertex subsets are plain int bitmasks as well.
 
 graph6 decoding reads its payload through a table keyed by lane (the bit
 matrix's row width, 8, 16, 32 or 64): one lookup per payload character gives
@@ -215,20 +214,30 @@ def _transpose(m: int, lane: int, count: int = 1) -> int:
     return m
 
 
+def _twin_groups(adj: tuple[int, ...]) -> tuple[dict[int, int], dict[int, int]]:
+    """The vertices grouped by open and by closed neighborhood, as two dicts
+    from a neighborhood mask to its vertices' mask.  A group of two or more
+    is a twin class; a vertex has open twins or closed twins, never both."""
+    opened: dict[int, int] = {}
+    closed: dict[int, int] = {}
+    bit = 1
+    for row in adj:
+        opened[row] = opened.get(row, 0) | bit
+        shut = row | bit
+        closed[shut] = closed.get(shut, 0) | bit
+        bit <<= 1
+    return opened, closed
+
+
 def twin_masks(g: Graph) -> list[int]:
     """twin_masks(g)[v] = vertices sharing v's open or closed neighborhood.
 
     Twins are interchangeable under relabeling, which search kernels exploit
     to collapse branching inside cliques and independent sets.
     """
-    open_groups: dict[int, int] = {}
-    closed_groups: dict[int, int] = {}
-    for v, row in enumerate(g.adj):
-        open_groups[row] = open_groups.get(row, 0) | 1 << v
-        closed = row | 1 << v
-        closed_groups[closed] = closed_groups.get(closed, 0) | 1 << v
+    opened, closed = _twin_groups(g.adj)
     return [
-        (open_groups[row] | closed_groups[row | 1 << v]) & ~(1 << v)
+        (opened[row] | closed[row | 1 << v]) & ~(1 << v)
         for v, row in enumerate(g.adj)
     ]
 
@@ -264,32 +273,6 @@ def complete_graph(n: int) -> Graph:
     _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int] | int) -> Graph:
-    """Subgraph induced on ``vertices``, reindexed by ascending original index."""
-    mask = mask_of(vertices)
-    if mask == 0:
-        raise ValueError("induced subgraph of the empty vertex set")
-    if mask & ~((1 << g.n) - 1):
-        raise ValueError("vertex set not contained in the graph")
-    kept = list(bits(mask))
-    index = {v: i for i, v in enumerate(kept)}
-    rows = [0] * len(kept)
-    for v in kept:
-        for u in bits(g.adj[v] & mask):
-            rows[index[v]] |= 1 << index[u]
-    return Graph(len(kept), tuple(rows))
-
-
-def is_independent(g: Graph, vertices: Iterable[int] | int) -> bool:
-    mask = mask_of(vertices)
-    if mask & ~((1 << g.n) - 1):
-        raise ValueError("vertex set not contained in the graph")
-    for v in bits(mask):
-        if g.adj[v] & mask:
-            return False
-    return True
 
 
 def degree(g: Graph, v: int) -> int:

@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from nonham.graphs import Graph, _unchecked_graph, add_edge, bits, twin_masks
+from nonham.graphs import Graph, _twin_groups, _unchecked_graph, add_edge, bits, twin_masks
 
 
 @dataclass(frozen=True)
@@ -106,23 +106,22 @@ def _connected(g: Graph) -> bool:
     return _component(g.adj, 1, full) == full
 
 
-def _capacity_classes(g: Graph, twin: list[int]) -> list[tuple[int, int, bool]]:
+def _capacity_classes(g: Graph) -> list[tuple[int, int, bool]]:
     """Twin classes of size >= 2 as (members, external neighborhood, is_true).
 
     Used for a capacity prune: unvisited members of a class need two path
     edges each (two total for a true-twin clique), and those edges can only
     land in the class's shared external neighborhood, the current path end,
-    or the closing anchor.  A vertex has open twins or closed twins, never
-    both, so ``twin[v] | 1 << v`` is v's whole class.
+    or the closing anchor.  A group's key is its members' open or closed
+    neighborhood, so the key less the members is the external neighborhood.
     """
-    out = []
-    seen = 0
-    for v, row in enumerate(g.adj):
-        if twin[v] and not seen >> v & 1:
-            members = twin[v] | 1 << v
-            seen |= members
-            out.append((members, row & ~members, bool(row & twin[v])))
-    return out
+    opened, closed = _twin_groups(g.adj)
+    return [
+        (members, key & ~members, is_true)
+        for is_true, groups in ((False, opened), (True, closed))
+        for key, members in groups.items()
+        if members & (members - 1)
+    ]
 
 
 def _forced_edge_scan(g: Graph) -> tuple[int, ...] | bool:
@@ -259,7 +258,6 @@ def _has_cut_vertex(adj: tuple[int, ...]) -> bool:
 
 def _extend_path(
     g: Graph,
-    twin: list[int],
     classes: list[tuple[int, int, bool]],
     start: int,
     anchor: int,
@@ -271,12 +269,16 @@ def _extend_path(
     ``anchor`` is never unvisited: it is ``start`` itself (cycles) or a vertex
     outside ``cover`` (u-v paths).  A cycle's path must also have its second
     vertex below its last, so each cycle is found in one direction.
-    ``twin`` and ``classes`` are g's ``twin_masks`` and capacity classes.
+    ``classes`` are g's capacity classes.
     """
     adj = g.adj
     abit = 1 << anchor
     path = [start]
     try_order = sorted(range(g.n), key=lambda v: (adj[v].bit_count(), v))
+    lower = [0] * g.n  # lower[v]: v's twins below it
+    for members, _, _ in classes:
+        for v in bits(members):
+            lower[v] = members & ((1 << v) - 1)
 
     def extend(cur: int, rem: int) -> bool:
         here = 1 << cur
@@ -305,7 +307,7 @@ def _extend_path(
         for v in try_order:
             if not cand >> v & 1:
                 continue
-            if twin[v] & rem & ((1 << v) - 1):
+            if lower[v] & rem:
                 continue
             path.append(v)
             if extend(v, rem ^ 1 << v):
@@ -355,9 +357,9 @@ def _screen(g: Graph) -> tuple | None:
     pay for it.
 
     Returns None when one of them rules out a hamiltonian cycle of g, and
-    otherwise (cycle, twin, classes): the cycle when forced edges already
-    form one, with twin and classes None; else None, with g's twin masks and
-    capacity classes for the search.
+    otherwise (cycle, classes): the cycle when forced edges already form
+    one, with classes None; else None, with g's capacity classes for the
+    search.
     """
     if g.n < 3 or any(row.bit_count() < 2 for row in g.adj) or not _connected(g):
         return None
@@ -365,22 +367,21 @@ def _screen(g: Graph) -> tuple | None:
     if pre is False:
         return None
     if pre is not True:
-        return pre, None, None
-    twin = twin_masks(g)
-    classes = _capacity_classes(g, twin)
+        return pre, None
+    classes = _capacity_classes(g)
     if _scattered(g, classes) or _has_cut_vertex(g.adj):
         return None
-    return None, twin, classes
+    return None, classes
 
 
 def _search_cycle(g: Graph) -> tuple[int, ...] | None:
     screened = _screen(g)
     if screened is None:
         return None
-    forced, twin, classes = screened
+    forced, classes = screened
     if forced:
         return forced
-    path = _extend_path(g, twin, classes, 0, 0, (1 << g.n) - 1)
+    path = _extend_path(g, classes, 0, 0, (1 << g.n) - 1)
     return None if path is None else tuple(path)
 
 
@@ -417,13 +418,13 @@ def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
     screened = _screen(gz)
     if screened is None:
         return None
-    forced, twin, classes = screened
+    forced, classes = screened
     if forced:
         # forced edges make this g + z's only hamiltonian cycle
         at = forced.index(n)
         path = forced[at + 1:] + forced[:at]
         return list(path if path[0] == u else path[::-1])
-    path = _extend_path(gz, twin, classes, u, v, ((1 << n) - 1) ^ 1 << v)
+    path = _extend_path(gz, classes, u, v, ((1 << n) - 1) ^ 1 << v)
     return None if path is None else path + [v]
 
 
@@ -434,11 +435,6 @@ def _mark_orbit(known: list[int], classes: list[int], u: int, v: int) -> None:
         known[x] |= classes[v]
     for y in bits(classes[v]):
         known[y] |= classes[u]
-
-
-def _twin_classes(g: Graph) -> list[int]:
-    """Each vertex's twin class, itself included."""
-    return [twin | 1 << v for v, twin in enumerate(twin_masks(g))]
 
 
 def _additions(g: Graph) -> Iterator[Graph]:
@@ -467,7 +463,7 @@ def _additions(g: Graph) -> Iterator[Graph]:
             yield cur
             continue
         if classes is None:
-            classes = _twin_classes(cur)
+            classes = [twin | 1 << v for v, twin in enumerate(twin_masks(cur))]
         _mark_orbit(known, classes, u, v)
 
 

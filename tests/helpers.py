@@ -11,12 +11,14 @@ import random
 from itertools import combinations, permutations
 from pathlib import Path
 
+from nonham import counting
 from nonham.graphs import (
     MAX_ORDER,
     Graph,
     _triangle_code,
     bits,
     build_from_edges,
+    mask_of,
     twin_masks,
 )
 
@@ -248,3 +250,36 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
         if a2 != b2:
             edges.add((index[a2], index[b2]))
     return build_from_edges(g.n - 1, list(edges))
+
+
+def induced_subgraph(g: Graph, vertices) -> Graph:
+    """Subgraph induced on ``vertices`` (a mask or an iterable), reindexed by
+    ascending original index."""
+    mask = mask_of(vertices)
+    if mask == 0:
+        raise ValueError("induced subgraph of the empty vertex set")
+    if mask & ~((1 << g.n) - 1):
+        raise ValueError("vertex set not contained in the graph")
+    kept = list(bits(mask))
+    index = {v: i for i, v in enumerate(kept)}
+    rows = [0] * len(kept)
+    for v in kept:
+        for u in bits(g.adj[v] & mask):
+            rows[index[v]] |= 1 << index[u]
+    return Graph(len(kept), tuple(rows))
+
+
+def is_independent(g: Graph, vertices) -> bool:
+    mask = mask_of(vertices)
+    if mask & ~((1 << g.n) - 1):
+        raise ValueError("vertex set not contained in the graph")
+    return not any(g.adj[v] & mask for v in bits(mask))
+
+
+def count_unlabeled(g: Graph, f: Graph) -> int:
+    """Unlabeled copies of f in g: labeled count over |Aut(f)|, exact.
+
+    The counts are looked up in ``nonham.counting`` at call time, so a test
+    can patch them there."""
+    labeled = counting.count_labeled_embeddings(g, f)
+    return counting._unlabeled(labeled, counting.automorphism_count(f))

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     REPO_GRAPHS8,
+    count_unlabeled,
     oracle_automorphisms,
     oracle_count_cliques,
     oracle_labeled_embeddings,
@@ -16,7 +17,6 @@ from nonham.counting import (
     automorphism_count,
     count_cliques,
     count_labeled_embeddings,
-    count_unlabeled,
 )
 from nonham.enumeration import canonical_form, enumerate_nonisomorphic, stream_graph6
 from nonham.families import build_H

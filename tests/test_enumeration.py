@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import oracle_class_count, oracle_min_code, random_graph, reference_min_code
+from helpers import (
+    induced_subgraph,
+    oracle_class_count,
+    oracle_min_code,
+    random_graph,
+    reference_min_code,
+)
 from nonham import enumeration
 from nonham.classify import is_isomorphic
 from nonham.enumeration import (
@@ -27,7 +33,6 @@ from nonham.graphs import (
     complete_graph,
     graph6_decode,
     graph6_encode,
-    induced_subgraph,
     min_degree,
     relabel,
 )

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import contract_edge
+from helpers import contract_edge, induced_subgraph
 from nonham.classify import is_isomorphic
 from nonham.counting import count_cliques
 from nonham.families import (
@@ -17,7 +17,7 @@ from nonham.families import (
     build_Kprime,
 )
 from nonham.formulas import h, h_k
-from nonham.graphs import complete_graph, graph6_encode, induced_subgraph, min_degree
+from nonham.graphs import complete_graph, graph6_encode, min_degree
 from nonham.hamilton import is_hamiltonian
 
 
@@ -185,7 +185,12 @@ def test_quotient_table_matches_the_reference_constructions():
                 assert fam.is_valid() == ref.family_valid(tag, n, d), fam
                 assert fam.label() == ref.family_label(tag, n, d), fam
                 if fam.is_valid():
-                    assert list(fam.build().adj) == ref.family_rows(tag, n, d), fam
+                    rows = fam.rows()
+                    assert list(rows) == ref.family_rows(tag, n, d), fam
+                    assert fam.build().adj == rows, fam
+                    # the parts' first vertices: ascending from 0, within 0..n
+                    starts = list(fam.starts().values())
+                    assert starts[0] == 0 and starts == sorted(starts) and starts[-1] <= n, fam
                     built += 1
     assert built > 7000
 

@@ -5,7 +5,14 @@ import sys
 
 import pytest
 
-from helpers import all_labeled_graphs, hand_graph6, random_graph, reference_check_rows
+from helpers import (
+    all_labeled_graphs,
+    hand_graph6,
+    induced_subgraph,
+    is_independent,
+    random_graph,
+    reference_check_rows,
+)
 from nonham.graphs import (
     Graph,
     Graph6Error,
@@ -16,8 +23,6 @@ from nonham.graphs import (
     degree,
     graph6_decode,
     graph6_encode,
-    induced_subgraph,
-    is_independent,
     min_degree,
     relabel,
 )

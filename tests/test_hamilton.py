@@ -12,6 +12,7 @@ from helpers import (
 from nonham import hamilton
 from nonham.enumeration import enumerate_nonisomorphic
 from nonham.families import (
+    Family,
     build_F3,
     build_Gprime2,
     build_GprimeD,
@@ -19,7 +20,15 @@ from nonham.families import (
     build_Hprime,
     build_Kprime,
 )
-from nonham.graphs import add_edge, build_from_edges, complete_graph, graph6_decode, relabel, twin_masks
+from nonham.graphs import (
+    _twin_groups,
+    add_edge,
+    build_from_edges,
+    complete_graph,
+    graph6_decode,
+    relabel,
+    twin_masks,
+)
 from nonham.hamilton import (
     PathPartition,
     _capacity_classes,
@@ -192,22 +201,47 @@ def test_path_between_vs_subset_dp_exhaustive():
 
 
 def test_capacity_classes_are_the_twin_groups():
-    # the classes read off twin_masks are exactly the open and closed
-    # neighborhood groups of size >= 2
-    for n in range(1, 8):
-        for g in enumerate_nonisomorphic(n):
-            groups: dict[tuple[int, bool], int] = {}
-            for v, row in enumerate(g.adj):
-                groups[row, False] = groups.get((row, False), 0) | 1 << v
-                key = (row | 1 << v, True)
-                groups[key] = groups.get(key, 0) | 1 << v
-            want = {
-                (members, row & ~members, is_true)
-                for (row, is_true), members in groups.items()
-                if members.bit_count() >= 2
-            }
-            got = _capacity_classes(g, twin_masks(g))
-            assert len(got) == len(want) and set(got) == want, g
+    # every reader of graphs._twin_groups against the definition of twins:
+    # the groups themselves (count_cliques takes the closed ones), twin_masks
+    # (canonical labelling keeps its bits below each vertex), and the
+    # capacity classes, which are the open and closed groups of size >= 2.
+    # Inputs: every graph of order <= 7, seeded G(64, 1/2), and relabelled
+    # family members of order 64, whose classes are large
+    inputs = [g for n in range(1, 8) for g in enumerate_nonisomorphic(n)]
+    rng = random.Random(64)
+    inputs += [random_graph(rng, 64, 0.5) for _ in range(5)]
+    families = [("h", 1), ("h", 21), ("kprime", 5), ("hprime", 3)]
+    families += [("gprime2", 0), ("f3", 0), ("gprimed", 4)]
+    inputs += [
+        _relabelled(Family(tag, 64, d).build(), seed) for seed, (tag, d) in enumerate(families)
+    ]
+    for g in inputs:
+        n, adj = g.n, g.adj
+        opened: dict[int, int] = {}
+        closed: dict[int, int] = {}
+        for v, row in enumerate(adj):
+            opened[row] = opened.get(row, 0) | 1 << v
+            closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
+        assert _twin_groups(adj) == (opened, closed), g
+        twins = [
+            sum(
+                1 << u
+                for u in range(n)
+                if u != v and (adj[u] == adj[v] or adj[u] | 1 << u == adj[v] | 1 << v)
+            )
+            for v in range(n)
+        ]
+        assert twin_masks(g) == twins, g
+        want = {
+            (members, key & ~members, is_true)
+            for is_true, groups in ((False, opened), (True, closed))
+            for key, members in groups.items()
+            if members.bit_count() >= 2
+        }
+        got = _capacity_classes(g)
+        assert len(got) == len(want) and set(got) == want, g
+        # a vertex has open twins or closed twins, never both
+        assert {members for members, _, _ in want} == {t | 1 << v for v, t in enumerate(twins) if t}
 
 
 def test_engine_vs_subset_dp_full_corpus():
@@ -262,10 +296,6 @@ def test_closure_decided_graph_skips_the_search(monkeypatch):
     assert all(g.has_edge(cyc[i], cyc[(i + 1) % 8]) for i in range(8))
 
 
-def _classes(g):
-    return _capacity_classes(g, twin_masks(g))
-
-
 def _relabelled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -283,7 +313,7 @@ def test_scattering_certificate_never_fires_on_hamiltonian_input():
     for n in range(3, 9):
         graphs = enumerate_nonisomorphic(n) if n < 8 else stream_graph6(REPO_GRAPHS8)
         for g in filter(_connected, graphs):
-            fired = _scattered(g, _classes(g))
+            fired = _scattered(g, _capacity_classes(g))
             if dp_hamiltonian(g):
                 assert not fired, g
             else:
@@ -313,7 +343,7 @@ def test_screen_on_g_plus_z_never_settles_a_pair_with_a_path():
                         continue
                     gz = _plus_z(g, u, v)
                     out = _screen(gz) is None
-                    certified = _scattered(gz, _classes(gz))
+                    certified = _scattered(gz, _capacity_classes(gz))
                     separated = _has_cut_vertex(gz.adj)
                     if ends >> v & 1:
                         assert not out and not certified and not separated, (g, u, v)
@@ -327,11 +357,11 @@ def test_screen_on_g_plus_z_never_settles_a_pair_with_a_path():
     # C4 between opposite vertices: in C4 + z, S = {u, v} leaves three
     # components, the two other vertices and z
     c4 = cycle_graph(4)
-    assert not _scattered(c4, _classes(c4))
+    assert not _scattered(c4, _capacity_classes(c4))
     c4z = _plus_z(c4, 0, 2)
-    assert _scattered(c4z, _classes(c4z))
+    assert _scattered(c4z, _capacity_classes(c4z))
     c4z = _plus_z(c4, 0, 1)
-    assert not _scattered(c4z, _classes(c4z))
+    assert not _scattered(c4z, _capacity_classes(c4z))
 
 
 def test_path_forced_edges_settle_family_members_without_search(monkeypatch):
@@ -366,7 +396,7 @@ def test_certificate_settles_family_members_without_search(monkeypatch):
     )
     for seed, g in enumerate(members):
         h = _relabelled(g, seed)
-        assert _scattered(h, _classes(h))
+        assert _scattered(h, _capacity_classes(h))
         assert find_hamiltonian_cycle(h) is None
     assert calls == []
 
@@ -661,7 +691,7 @@ def test_cut_vertex_settles_a_thinned_family_member(monkeypatch):
     # cut-vertex pass the search got no answer within 60 s
     g = graph6_decode("S|{FoGD]f~~R]fyF}RwIOubxg]gJOBs~O")
     assert _has_cut_vertex(g.adj)
-    assert not _scattered(g, _classes(g))
+    assert not _scattered(g, _capacity_classes(g))
     calls = []
     search = hamilton._extend_path
     monkeypatch.setattr(
