@@ -1,8 +1,10 @@
 """Command-line interface: stream-oriented subcommands over graph6 lines.
 
-Graphs enter one per line (stdin or --in FILE) and results leave one per
-input line on stdout; diagnostics go to stderr.  Counts are printed as
-decimal strings so downstream consumers never face 64-bit overflow.
+Graphs enter one per line (stdin or --in FILE), read a block of lines at a
+time by ``enumeration._read_graph6`` (a terminal one line at a time), and
+results leave one per input line on stdout; diagnostics go to stderr.
+Counts are printed as decimal strings so downstream consumers never face
+64-bit overflow.
 
 Exit codes: 0 success / verified, 1 verification found violations,
 2 usage or format errors.
@@ -23,8 +25,8 @@ from nonham import formulas
 from nonham.classify import classify
 from nonham.counting import _unlabeled, automorphism_count, count_cliques, count_labeled_embeddings
 from nonham.enumeration import (
+    _read_graph6,
     apply_filters,
-    decode_graph6_lines,
     enumerate_nonisomorphic,
     stream_graph6,
 )
@@ -41,17 +43,33 @@ from nonham.hamilton import (
 from nonham import verify as verify_mod
 
 
+def _worker_count(text: str) -> int:
+    """``--workers``: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return count
+
+
 def _default_workers() -> int:
     env = os.environ.get("NONHAM_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return _worker_count(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"NONHAM_WORKERS: {exc}") from None
 
 
 def _input_graphs(path: str | None) -> Iterator[Graph]:
-    if path is None or path == "-":
-        return decode_graph6_lines(sys.stdin.buffer, "<stdin>")
-    return stream_graph6(path)
+    if path is not None and path != "-":
+        return stream_graph6(path)
+    if sys.stdin is None:
+        raise ValueError("no stdin to read graphs from; pass --in FILE")
+    return _read_graph6(sys.stdin.buffer, "<stdin>")
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -168,7 +186,7 @@ def _cmd_verify(args) -> int:
         stream = _input_graphs(args.input)
     else:
         stream = enumerate_nonisomorphic(args.n)
-    workers = max(1, args.workers) if args.workers else _default_workers()
+    workers = args.workers or _default_workers()
     kind = args.theorem
     names = verify_mod._THEOREMS[kind].params
     for name in names:
@@ -263,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         theorem.params for theorem in verify_mod._THEOREMS.values()
     )):
         p.add_argument(f"--{name}", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_worker_count)
     p.add_argument("--report", metavar="OUT.json")
     _add_input(p)
     p.set_defaults(func=_cmd_verify)

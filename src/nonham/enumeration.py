@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from nonham.graphs import (
     Graph,
@@ -347,7 +347,7 @@ def canonical_form(g: Graph) -> Graph:
 
 
 def decode_graph6_lines(
-    lines: Iterable[str | bytes], source: str, start: int = 1
+    lines: Iterable[bytes], source: str, start: int = 1
 ) -> Iterator[Graph]:
     """Lazily decode graph6 lines, skipping blank ones, one line at a time.
 
@@ -364,30 +364,30 @@ def decode_graph6_lines(
             raise Graph6Error(f"{source}:{lineno}: {exc}") from exc
 
 
-# Lines per block of a graph6 file.
+# Lines per block of a graph6 stream.
 _BLOCK = 1024
 
 
-def stream_graph6(path: str) -> Iterator[Graph]:
-    """Lazily decode a newline-delimited graph6 file, a block at a time.
-
-    The file is read as bytes, ``_BLOCK`` lines at a time, and only one
-    block of lines and of decoded rows is held at once.  A block whose
-    records all have the same order and header bytes, with nothing but a
-    newline after each, is decoded at once by ``graphs._decode_block``.
-    Any other block (blank lines, CRLF line ends, a ``>>graph6<<`` header,
-    mixed orders, a malformed record) goes line by line through
-    ``decode_graph6_lines``, so a malformed line aborts the stream with its
-    line number, after the same graphs, and with the same message.
+def _read_graph6(fh: BinaryIO, source: str) -> Iterator[Graph]:
+    """Lazily decode a binary graph6 stream, ``_BLOCK`` lines at a time, or
+    one when it is a terminal, so each typed line is answered at once.  A
+    block that ``graphs._decode_block`` declines goes line by line through
+    ``decode_graph6_lines``, which names a malformed line ``source:lineno:``.
     """
+    size = 1 if fh.isatty() else _BLOCK
+    start = 1
+    for block in iter(lambda: list(islice(fh, size)), []):
+        graphs = _decode_block(block)
+        if graphs is None:
+            graphs = decode_graph6_lines(block, source, start)
+        yield from graphs
+        start += len(block)
+
+
+def stream_graph6(path: str) -> Iterator[Graph]:
+    """Lazily decode a graph6 file through ``_read_graph6``."""
     with open(path, "rb") as fh:
-        start = 1
-        for block in iter(lambda: list(islice(fh, _BLOCK)), []):
-            graphs = _decode_block(block)
-            if graphs is None:
-                graphs = decode_graph6_lines(block, path, start)
-            yield from graphs
-            start += len(block)
+        yield from _read_graph6(fh, path)
 
 
 def apply_filters(

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nonham import cli, counting
 from nonham.cli import main
 from nonham.families import build_H
@@ -228,6 +230,30 @@ def test_worker_env_override(tmp_path):
     )
     assert proc.returncode == 0
     assert "2 workers" in proc.stderr
+
+
+def test_worker_counts_below_one_exit_2(monkeypatch, capsys):
+    # a count that is not an integer of at least 1 is named by its source,
+    # before any graph is read
+    args = ["verify", "edge-bound", "--n", "5", "--d", "1"]
+    for bad in ("0", "-4", "abc", "2.5"):
+        message = f"expected an integer of at least 1, got '{bad}'"
+        with pytest.raises(SystemExit) as exc_info:
+            main([*args, "--workers", bad])
+        assert exc_info.value.code == 2
+        assert f"argument --workers: {message}\n" in capsys.readouterr().err
+        monkeypatch.setenv("NONHAM_WORKERS", bad)
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"nonham: NONHAM_WORKERS: {message}\n")
+
+
+def test_closed_stdin_exits_2(monkeypatch, capsys):
+    # with fd 0 closed (a shell's <&-) Python leaves sys.stdin None; exit 1
+    # would say that a sweep found violations
+    monkeypatch.setattr(sys, "stdin", None)
+    for args in (["ham", "check"], ["verify", "edge-bound", "--n", "5", "--d", "1", "--in", "-"]):
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", "nonham: no stdin to read graphs from; pass --in FILE\n")
 
 
 def test_external_file_verify(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 import subprocess
 import sys
@@ -362,6 +363,41 @@ def test_stream_graph6_irregular_lines(tmp_path, small_blocks):
     ):
         assert_stream_agrees(tmp_path, data)
         assert outcome(stream_graph6(str(tmp_path / "stream.g6")))[1] is None
+
+
+class CountedLines(io.BytesIO):
+    """A byte stream that counts the lines read from it, a terminal or not."""
+
+    def __init__(self, data: bytes, tty: bool):
+        super().__init__(data)
+        self.tty = tty
+        self.lines_read = 0
+
+    def isatty(self):
+        return self.tty
+
+    def __next__(self):
+        line = super().__next__()
+        self.lines_read += 1
+        return line
+
+
+def test_read_graph6_answers_a_terminal_line_by_line(small_blocks):
+    # a terminal's first graph comes after one line, any other stream's
+    # after one block; both give the same graphs and the same error
+    rng = random.Random(65)
+    graphs = [random_graph(rng, 8, 0.5) for _ in range(3 * small_blocks)]
+    data = "".join(graph6_encode(g) + "\n" for g in graphs).encode("ascii")
+    for tty, lines in ((True, 1), (False, small_blocks)):
+        fh = CountedLines(data, tty)
+        stream = enumeration._read_graph6(fh, "<stdin>")
+        first = next(stream)
+        assert fh.lines_read == lines
+        assert [first, *stream] == graphs
+        bad = CountedLines(data + b"B\n", tty)
+        assert outcome(enumeration._read_graph6(bad, "<stdin>")) == per_line_outcome(
+            data + b"B\n", "<stdin>"
+        )
 
 
 # malformed replacements for one order-8 record, and their messages

@@ -381,6 +381,36 @@ def test_path_forced_edges_settle_family_members_without_search(monkeypatch):
     assert calls == []
 
 
+def test_forced_edges_settle_random_inputs_without_search(monkeypatch):
+    # both rules of the forced-edge scan are needed.  Three degree-2 vertices
+    # joined to hub pairs (0,1), (1,2) and (2,0) of G(n, 1/2) force a 6-cycle
+    # shorter than the order, which no forced vertex of degree 3 shows: with
+    # that rule alone the 23-vertex input got no answer within 20 s.  Each
+    # odd vertex of C_n with chords among its even vertices forces both its
+    # cycle edges, so the forced edges are the spanning cycle: the search
+    # finds it about ten times slower at n = 64 (2.3 against 0.25 ms).  A
+    # search therefore fails the test at once
+    def search(*args):
+        raise AssertionError("the forced edges left a search")
+
+    monkeypatch.setattr(hamilton, "_extend_path", search)
+    for seed, n in enumerate((20, 30, 40, 60)):
+        r = random.Random(seed)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if r.random() < 0.5]
+        for z, (a, b) in enumerate([(0, 1), (1, 2), (2, 0)], start=n):
+            edges += [(a, z), (b, z)]
+        assert not is_hamiltonian(build_from_edges(n + 3, edges))
+    for seed, n in enumerate((20, 30, 40, 64)):
+        chords = [(i, j) for i in range(0, n, 2) for j in range(i + 2, n, 2)]
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        h = relabel(build_from_edges(n, [(i, (i + 1) % n) for i in range(n)] + chords), perm)
+        cycle = find_hamiltonian_cycle(h)
+        assert {frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])} == {
+            frozenset((perm[i], perm[(i + 1) % n])) for i in range(n)
+        }
+
+
 def test_certificate_settles_family_members_without_search(monkeypatch):
     members = [
         build_H(40, 2),
