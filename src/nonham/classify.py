@@ -19,11 +19,15 @@ F_3(n)     4     3           a matching       at most 2 vertices
 =========  ====  ==========  ===============  =============================
 
 ``match_template`` searches for B directly (for K', as components of g - x
-for a cut vertex x) and returns the witness in ``Family.build()``'s vertex
-layout (``Family.starts``).  ``_fits`` runs it and checks every witness
-against ``Family.rows``; ``classify`` and the sweeps of ``nonham.verify``
-ask it which templates a graph fits, and ``_is_member`` whether a graph is
-a copy of one.
+for one cut vertex x per twin class of g) and returns the witness in
+``Family.build()``'s vertex layout (``Family.starts``).  ``_fits`` groups
+g's twins once for every family it runs it on, and checks every witness on
+the quotient (``Family.parts``): each part pulled back to a vertex mask of
+g, each row of g must lie in the parts its own part is joined to, its own
+part when that is a clique, and its ``a=b`` partners; no template row is
+built.  ``classify`` and the sweeps of ``nonham.verify`` ask ``_fits``
+which templates a graph fits, and ``_is_member`` whether a graph is a copy
+of one.
 
 ``spanning_subgraph_of`` is the generic search for a bijection between
 equal-order vertex sets carrying every edge of a graph into any template.
@@ -36,6 +40,8 @@ calls them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable
 
 from nonham.families import Family
 from nonham.graphs import Graph, bits, mask_of, twin_masks
@@ -111,14 +117,15 @@ def _layout(n: int, fixed: dict[int, int]) -> list[int]:
     return [w if w >= 0 else next(free) for w in result]
 
 
-def _search_low_side(g: Graph, fam: Family) -> list[int] | None:
+def _search_low_side(g: Graph, fam: Family, twin: list[int]) -> list[int] | None:
     """Choose B vertex by vertex among the vertices under the degree cap.
 
     g[B] must be a matching with at most the allowed number of edges.  A
     vertex of N(B) can still leave the attachment set later only by joining
     B, which adds an edge, so a branch is cut once the attachments exceed
     the bound by more than the edges left to add.  Passing over a vertex
-    passes over its twins too: swapping twins is an automorphism of g.
+    passes over its twins too (``twin`` is g's ``twin_masks``): swapping
+    twins is an automorphism of g.
     """
     n, adj = g.n, g.adj
     size, cap, max_edges, attach = fam.low_side()
@@ -128,7 +135,6 @@ def _search_low_side(g: Graph, fam: Family) -> list[int] | None:
     )
     if len(cand) < size:
         return None
-    twin = twin_masks(g)
     chosen: list[int] = []
 
     def grow(start: int, bmask: int, nb: int, edges: int) -> list[int] | None:
@@ -202,19 +208,25 @@ def _place_gprime2(g: Graph, fam: Family, low: list[int], nb: int) -> list[int] 
     return None
 
 
-def _match_kprime(g: Graph, fam: Family) -> list[int] | None:
+def _match_kprime(g: Graph, fam: Family, twin: list[int]) -> list[int] | None:
     """B is a union of components of g - x with d vertices in all.
 
     A component of at most d vertices has all its degrees at most d, and a
     vertex of larger degree lies in a component of more than d vertices, so
     components are grown from low-degree vertices and dropped once too big.
     A subset sum over the sizes that remain picks B for each cut vertex x.
+    Of a twin class (``twin`` is g's ``twin_masks``) only the lowest vertex
+    is tried: swapping twins is an automorphism of g, so a B that worked
+    for x would, moved by the swap, have worked for x's lower twin, which
+    was tried first.
     """
     n, adj, d = g.n, g.adj, fam.d
     low = mask_of(v for v in range(n) if adj[v].bit_count() <= d)
     if low.bit_count() < d:
         return None
     for x in range(n):
+        if twin[x] & ((1 << x) - 1):
+            continue
         sums = {0: 0}
         seeds = low & ~(1 << x)
         while seeds:
@@ -240,22 +252,25 @@ def _match_kprime(g: Graph, fam: Family) -> list[int] | None:
     return None
 
 
-def match_template(g: Graph, fam: Family) -> list[int] | None:
+def match_template(g: Graph, fam: Family, twin: list[int] | None = None) -> list[int] | None:
     """A witness that g is a spanning subgraph of ``fam.build()``, or None.
 
     The returned list sends g-vertex v to template vertex result[v].  Every
     template is a clique A plus a small set B of low-degree vertices, so g
     fits exactly when some vertex set of g can play B: A is a clique, so the
     remaining vertices can go anywhere in it.  Covers the h, kprime, hprime,
-    gprime2 and f3 families.
+    gprime2 and f3 families.  ``twin`` is g's ``twin_masks``, grouped here
+    when not given.
     """
     if g.n != fam.n:
         raise ValueError("template containment needs equal orders")
     if fam.tag == "gprimed" or not fam.is_valid():
         raise ValueError(f"no structural template for {fam.label()}")
+    if twin is None:
+        twin = twin_masks(g)
     if fam.tag == "kprime":
-        return _match_kprime(g, fam)
-    return _search_low_side(g, fam)
+        return _match_kprime(g, fam, twin)
+    return _search_low_side(g, fam, twin)
 
 
 @dataclass(frozen=True)
@@ -270,8 +285,10 @@ class ClassificationResult:
         return [fam.label() for fam in self.matched]
 
 
-def _template_set(n: int, d: int) -> tuple[list[Family], list[Family]]:
-    """The templates of degree bound d at order n, as (valid, skipped)."""
+@lru_cache(maxsize=64)
+def _template_set(n: int, d: int) -> tuple[tuple[Family, ...], tuple[Family, ...]]:
+    """The templates of degree bound d at order n, as (valid, skipped); kept
+    for the last 64 (n, d) asked about."""
     members = [
         Family("h", n, d),
         Family("h", n, d + 1),
@@ -283,32 +300,58 @@ def _template_set(n: int, d: int) -> tuple[list[Family], list[Family]]:
         members.append(Family("gprime2", n, 2))
     if d == 3:
         members.append(Family("f3", n, 3))
-    return [f for f in members if f.is_valid()], [f for f in members if not f.is_valid()]
+    valid = tuple(f for f in members if f.is_valid())
+    return valid, tuple(f for f in members if not f.is_valid())
 
 
-def _fits(g: Graph, families: list[Family]) -> dict[Family, list[int]]:
-    """The families g is a spanning subgraph of, in the order given, each with
-    its witness from ``match_template``, checked to be a bijection that
-    carries every edge of g onto an edge of the template's rows."""
-    found: dict[Family, list[int]] = {}
-    for fam in families:
-        mapping = match_template(g, fam)
-        if mapping is None:
-            continue
-        rows = fam.rows()
-        if sorted(mapping) != list(range(g.n)):
-            raise AssertionError("witness is not a bijection")
-        if not all(rows[mapping[u]] >> mapping[v] & 1 for u, v in g.edges()):
+def _check_witness(g: Graph, fam: Family, mapping: list[int]) -> None:
+    """Raise AssertionError unless ``mapping`` is a bijection that carries
+    every edge of g onto an edge of ``fam.build()``.
+
+    The check runs on the quotient: each part is pulled back through the
+    mapping to a vertex mask of g, and the row of each g-vertex v must lie
+    in the union of the parts joined to v's part, v's own part less v when
+    that part is a clique, and v's ``a=b`` partners.
+    """
+    n, adj = g.n, g.adj
+    if sorted(mapping) != list(range(n)):
+        raise AssertionError("witness is not a bijection")
+    part_of, cliques, joins, partners = fam.parts()
+    at = [0] * len(cliques)
+    back = [0] * n
+    for v, w in enumerate(mapping):
+        at[part_of[w]] |= 1 << v
+        back[w] = v
+    joined = [sum(at[r] for r in bits(mask)) for mask in joins]
+    for v, w in enumerate(mapping):
+        p = part_of[w]
+        allowed = joined[p]
+        if cliques[p]:
+            allowed |= at[p] & ~(1 << v)
+        for u in partners[w]:
+            allowed |= 1 << back[u]
+        if adj[v] & ~allowed:
             raise AssertionError("witness does not preserve an edge")
-        found[fam] = mapping
+
+
+def _fits(g: Graph, families: Iterable[Family]) -> dict[Family, list[int]]:
+    """The families g is a spanning subgraph of, in the order given, each with
+    its witness from ``match_template``, checked by ``_check_witness``.  g's
+    twins are grouped once, for all the families."""
+    found: dict[Family, list[int]] = {}
+    twin = twin_masks(g)
+    for fam in families:
+        mapping = match_template(g, fam, twin)
+        if mapping is not None:
+            _check_witness(g, fam, mapping)
+            found[fam] = mapping
     return found
 
 
 def _is_member(g: Graph, fam: Family) -> bool:
     """Whether g is a copy of ``fam.build()``: a spanning subgraph with as
     many edges is the template itself."""
-    edges = sum(row.bit_count() for row in fam.rows()) // 2
-    return g.edge_count() == edges and bool(_fits(g, [fam]))
+    return g.edge_count() == fam.edge_count() and bool(_fits(g, [fam]))
 
 
 def classify(g: Graph, d: int) -> ClassificationResult:
@@ -322,4 +365,4 @@ def classify(g: Graph, d: int) -> ClassificationResult:
         raise ValueError(f"classify needs 1 <= d <= {(n - 1) // 2}")
     valid, skipped = _template_set(n, d)
     witnesses = _fits(g, valid)
-    return ClassificationResult(tuple(witnesses), witnesses, tuple(skipped))
+    return ClassificationResult(tuple(witnesses), witnesses, skipped)

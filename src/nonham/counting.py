@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from nonham.formulas import falling_factorial
-from nonham.graphs import Graph, _twin_groups, bits
+from nonham.graphs import Graph, _groups, bits
 
 
 def _pattern_order(f: Graph) -> list[int]:
@@ -106,7 +106,7 @@ def count_cliques(g: Graph, k: int) -> int:
         raise ValueError("count_cliques needs k >= 1")
     adj = g.adj
     # closed-twin classes, keyed by their common closed neighbourhood
-    classes = _twin_groups(adj)[1] if k >= 3 else {}
+    classes = _groups([row | 1 << v for v, row in enumerate(adj)]) if k >= 3 else {}
 
     def rec(cand: int, need: int) -> int:
         if need == 1:

@@ -9,16 +9,22 @@ and the joins; no other module reads it, as ``Family`` answers for its
 quotient.  ``Family.rows`` is the one blow-up.  The parts in order are the
 vertex layout (``Family.starts``), so graph6 output is byte-reproducible.
 The low parts, those not joined to the big clique C, come last: they are
-the set B that ``nonham.classify`` searches for (``Family.low_side``).
+the set B that ``nonham.classify`` searches for (``Family.low_side``), and
+``Family.parts`` is the quotient as the blow-up's vertices see it, against
+which ``nonham.classify`` checks a witness without building any row.  This
+arithmetic is done once per (tag, n, d) and kept for the last
+``_SHAPES`` families asked about.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import accumulate, product
+from functools import lru_cache
+from itertools import accumulate
+from types import MappingProxyType
 
-from nonham.graphs import Graph, _check_order, bits
+from nonham.graphs import Graph, _check_order, bits, mask_of
 
 _Quotient = namedtuple("_Quotient", "error valid names sizes cliques full paired low takes_d")
 
@@ -90,50 +96,91 @@ class Family:
             return f"{self.tag}({self.n},{self.d})"
         return f"{self.tag}({self.n})"
 
-    def starts(self) -> dict[str, int]:
-        """The first vertex of each part, by part name, in vertex order."""
-        q = _QUOTIENTS[self.tag]
-        return dict(zip(q.names, accumulate(q.sizes(self.n, self.d), initial=0)))
+    def starts(self) -> MappingProxyType[str, int]:
+        """The first vertex of each part, by part name, in vertex order (a
+        read-only view, as it is kept for later calls)."""
+        return _shape(self).starts
 
     def low_side(self) -> tuple[int, int, int, int]:
         """(|B|, degree cap on B, edges g[B] may have, bound on |N(B) - B|)
         for B the low parts, by arithmetic on the quotient: each low part is
         a clique or independent and joined only to parts outside B."""
-        q = _QUOTIENTS[self.tag]
-        sizes = q.sizes(self.n, self.d)
-        size = cap = twice_edges = reach = 0
-        for p in bits(q.low):
-            if sizes[p]:
-                inner = sizes[p] - 1 if q.cliques[p] else 0
-                outer = sum(sizes[r] for r in bits(q.full[p])) + q.paired[p].bit_count()
-                size += sizes[p]
-                cap = max(cap, inner + outer)
-                twice_edges += sizes[p] * inner
-                reach |= q.full[p] | q.paired[p]
-        return size, cap, twice_edges // 2, sum(sizes[r] for r in bits(reach))
+        return _shape(self).low_side
+
+    def edge_count(self) -> int:
+        """The blow-up's edge count, by arithmetic on the quotient."""
+        return _shape(self).edges
+
+    def parts(
+        self,
+    ) -> tuple[tuple[int, ...], tuple[bool, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(part_of, cliques, joins, partners): the part of each blow-up
+        vertex, whether each part is a clique, each part's complete joins as
+        a mask over parts, and each vertex's ``a=b`` partners.  Vertex w is
+        adjacent to u exactly when u's part is in ``joins[part_of[w]]``, or
+        u shares w's part and that part is a clique, or u is a partner of w."""
+        return _shape(self).parts
 
     def rows(self) -> tuple[int, ...]:
         """The rows of the blow-up of the family's quotient, parts in declared
         order; the range and the order are checked before any row is built."""
-        q, n, d = _QUOTIENTS[self.tag], self.n, self.d
-        if not q.valid(n, d):
-            raise ValueError(q.error.format(n=n, d=d, half=(n - 1) // 2))
-        _check_order(n)
-        first = [*self.starts().values(), n]
+        part_of, cliques, joins, partners = self.parts()
+        first = [*self.starts().values(), self.n]
         masks = [(1 << end) - (1 << start) for start, end in zip(first, first[1:])]
-        rows = []
-        for p, mask in enumerate(masks):
-            out = sum(masks[r] for r in bits(q.full[p]))
-            part = range(first[p], first[p + 1])
-            rows += [out | mask ^ 1 << v for v in part] if q.cliques[p] else [out] * len(part)
-            if q.paired[p]:
-                for r, v in product(bits(q.paired[p]), part):
-                    rows[v] |= 1 << v - first[p] + first[r]
-        return tuple(rows)
+        out = [sum(masks[r] for r in bits(mask)) for mask in joins]
+        return tuple(
+            out[p] | (masks[p] ^ 1 << v if cliques[p] else 0) | mask_of(partners[v])
+            for v, p in enumerate(part_of)
+        )
 
     def build(self) -> Graph:
         """The blow-up as a Graph (see ``rows``)."""
         return Graph(self.n, self.rows())
+
+
+_Shape = namedtuple("_Shape", "starts low_side edges parts")
+_SHAPES = 256  # families whose arithmetic is kept; a classify call asks about 5 to 6
+
+
+@lru_cache(maxsize=_SHAPES)
+def _shape(fam: Family) -> _Shape:
+    """Every number ``Family`` reads off its quotient, for a family in its
+    valid range of order at most ``MAX_ORDER`` (else the builder's error)."""
+    q, n, d = _QUOTIENTS[fam.tag], fam.n, fam.d
+    if not q.valid(n, d):
+        raise ValueError(q.error.format(n=n, d=d, half=(n - 1) // 2))
+    _check_order(n)
+    sizes = q.sizes(n, d)
+    first = tuple(accumulate(sizes, initial=0))
+    # a vertex of part p meets the rest of p when p is a clique, every vertex
+    # of the parts joined to p, and one vertex for each a=b join
+    inner = [s - 1 if clique else 0 for s, clique in zip(sizes, q.cliques)]
+    degree = [
+        inner[p] + sum(sizes[r] for r in bits(q.full[p])) + q.paired[p].bit_count()
+        for p in range(len(sizes))
+    ]
+    low = [p for p in bits(q.low) if sizes[p]]
+    reach = 0
+    for p in low:
+        reach |= q.full[p] | q.paired[p]
+    low_side = (
+        sum(sizes[p] for p in low),
+        max((degree[p] for p in low), default=0),
+        sum(sizes[p] * inner[p] for p in low) // 2,
+        sum(sizes[r] for r in bits(reach)),
+    )
+    part_of = tuple(p for p, size in enumerate(sizes) for _ in range(size))
+    partners: list[tuple[int, ...]] = [()] * n
+    for p, mask in enumerate(q.paired):
+        for r in bits(mask):
+            for i in range(sizes[p]):
+                partners[first[p] + i] += (first[r] + i,)
+    return _Shape(
+        MappingProxyType(dict(zip(q.names, first))),
+        low_side,
+        sum(size * deg for size, deg in zip(sizes, degree)) // 2,
+        (part_of, q.cliques, q.full, tuple(partners)),
+    )
 
 
 def build_H(n: int, d: int) -> Graph:

@@ -214,19 +214,22 @@ def _transpose(m: int, lane: int, count: int = 1) -> int:
     return m
 
 
+def _groups(keys: Iterable[int]) -> dict[int, int]:
+    """The vertices grouped by key, as a dict from a key to the mask of the
+    vertices with that key; vertex v's key is the v-th of ``keys``."""
+    groups: dict[int, int] = {}
+    bit = 1
+    for key in keys:
+        groups[key] = groups.get(key, 0) | bit
+        bit <<= 1
+    return groups
+
+
 def _twin_groups(adj: tuple[int, ...]) -> tuple[dict[int, int], dict[int, int]]:
     """The vertices grouped by open and by closed neighborhood, as two dicts
     from a neighborhood mask to its vertices' mask.  A group of two or more
     is a twin class; a vertex has open twins or closed twins, never both."""
-    opened: dict[int, int] = {}
-    closed: dict[int, int] = {}
-    bit = 1
-    for row in adj:
-        opened[row] = opened.get(row, 0) | bit
-        shut = row | bit
-        closed[shut] = closed.get(shut, 0) | bit
-        bit <<= 1
-    return opened, closed
+    return _groups(adj), _groups([row | 1 << v for v, row in enumerate(adj)])
 
 
 def twin_masks(g: Graph) -> list[int]:
@@ -295,7 +298,8 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     rows = list(g.adj)
     rows[u] |= 1 << v
     rows[v] |= 1 << u
-    return Graph(g.n, tuple(rows))
+    # a new edge between two distinct vertices of a valid graph keeps it valid
+    return _unchecked_graph(g.n, tuple(rows))
 
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
@@ -303,11 +307,17 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     p = list(perm)
     if sorted(p) != list(range(g.n)):
         raise ValueError("relabeling is not a permutation of the vertex set")
+    image = [1 << w for w in p]
     rows = [0] * g.n
-    for v in range(g.n):
-        for u in bits(g.adj[v]):
-            rows[p[v]] |= 1 << p[u]
-    return Graph(g.n, tuple(rows))
+    for v, row in enumerate(g.adj):
+        out = 0
+        while row:
+            low = row & -row
+            out |= image[low.bit_length() - 1]
+            row ^= low
+        rows[p[v]] = out
+    # a permutation of a valid graph's vertices is a valid graph
+    return _unchecked_graph(g.n, tuple(rows))
 
 
 # graph6: header byte n+63 for n <= 62; for n in 63..64 we emit the two-byte

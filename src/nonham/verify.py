@@ -47,7 +47,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from nonham.classify import _fits, _is_member, _template_set
 from nonham.counting import count_cliques
@@ -122,7 +122,7 @@ def _at_most(count: Callable[[Graph], int], bound: int, extremes: tuple[Family, 
     return _Examiner(examine)
 
 
-def _fits_above(k: int, threshold: int, families: list[Family]):
+def _fits_above(k: int, threshold: int, families: Sequence[Family]):
     """A graph with more than threshold K_k's fits one of the templates."""
 
     def examine(g: Graph, observed: int):

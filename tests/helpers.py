@@ -101,6 +101,17 @@ def oracle_spanning(g: Graph, template: Graph) -> bool:
     return False
 
 
+def reference_witness_check(g: Graph, fam, mapping: list[int]) -> None:
+    """The witness check ``nonham.classify`` ran before it checked on the
+    quotient: raise AssertionError unless ``mapping`` is a bijection that
+    carries every edge of g onto an edge of the template's rows."""
+    rows = fam.rows()
+    if sorted(mapping) != list(range(g.n)):
+        raise AssertionError("witness is not a bijection")
+    if not all(rows[mapping[u]] >> mapping[v] & 1 for u, v in g.edges()):
+        raise AssertionError("witness does not preserve an edge")
+
+
 def oracle_automorphisms(f: Graph) -> int:
     count = 0
     edge_set = set(f.edges())

@@ -1,10 +1,21 @@
+import hashlib
+import importlib
+import json
 import random
+from itertools import combinations
 
 import pytest
 
-from helpers import REPO_GRAPHS8, oracle_spanning, random_graph, random_supergraph
+from helpers import (
+    REPO_GRAPHS8,
+    oracle_spanning,
+    random_graph,
+    random_supergraph,
+    reference_witness_check,
+)
 from nonham.classify import (
     ClassificationResult,
+    _check_witness,
     _is_member,
     _template_set,
     classify,
@@ -14,7 +25,7 @@ from nonham.classify import (
 )
 from nonham.enumeration import enumerate_nonisomorphic, stream_graph6
 from nonham.families import Family, build_Gprime2, build_H, build_Kprime
-from nonham.graphs import build_from_edges, complete_graph, graph6_encode, relabel
+from nonham.graphs import Graph, build_from_edges, complete_graph, graph6_encode, relabel
 
 
 def test_spanning_basic():
@@ -275,3 +286,142 @@ def test_classification_result_tags():
     result = classify(build_H(9, 2), 2)
     assert "h(9,2)" in result.tags()
     assert isinstance(result, ClassificationResult)
+
+
+def _classify_digest() -> str:
+    """sha256 over classify's matches and witnesses: the corpus at d = 1, 2
+    and 3, then members of every family at n = 9..40, relabelled, whole and
+    less a few edges, at their own d (clipped to classify's range)."""
+    digest = hashlib.sha256()
+
+    def feed(g, d):
+        result = classify(g, d)
+        line = [[fam.label(), result.witnesses[fam]] for fam in result.matched]
+        digest.update(json.dumps(line).encode() + b"\n")
+
+    for g in stream_graph6(REPO_GRAPHS8):
+        for d in (1, 2, 3):
+            feed(g, d)
+    rng = random.Random(24)
+    for n in range(9, 41):
+        for fam in _families_at(n):
+            member = relabel(fam.build(), rng.sample(range(n), n))
+            edges = member.edges()
+            rng.shuffle(edges)
+            fewer = build_from_edges(n, edges[rng.randrange(1, 4):])
+            for g in (member, fewer):
+                feed(g, min(fam.d, (n - 1) // 2))
+    return digest.hexdigest()
+
+
+def test_classify_witnesses_match_their_pinned_digest():
+    # taken at commit 178f4aa, before witnesses were checked on the quotient
+    # and K' tried one cut vertex per twin class: a change to the search, its
+    # order or the witness layout that moves any witness fails here
+    want = "851a4970308f831a566b307c715c73d4b1094c5c90281dbdf5e68b102c183eb2"
+    assert _classify_digest() == want
+
+
+def _every_family(n):
+    """Every family of order n at every valid d, G'_D included."""
+    gprimed = [Family("gprimed", n, d) for d in range(1, n)]
+    return _families_at(n) + [fam for fam in gprimed if fam.is_valid()]
+
+
+def _outcome(check, g, fam, mapping):
+    try:
+        check(g, fam, mapping)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_quotient_witness_check_agrees_with_the_row_check():
+    # the matcher's witness for a relabelled member (the relabelling undone
+    # for G'_D, which has no matcher), every transposition of it, 50 random
+    # bijections and one map that is not a bijection
+    rng = random.Random(41)
+    families = rejected = 0
+    for n in range(1, 17):
+        for fam in _every_family(n):
+            perm = rng.sample(range(n), n)
+            g = relabel(fam.build(), perm)
+            if fam.tag == "gprimed":
+                witness = sorted(range(n), key=perm.__getitem__)
+            else:
+                witness = match_template(g, fam)
+            assert _outcome(_check_witness, g, fam, witness) is None, fam
+            maps = [witness, witness[:-1] + witness[:1]]
+            for i, j in combinations(range(n), 2):
+                swapped = list(witness)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                maps.append(swapped)
+            maps += [rng.sample(range(n), n) for _ in range(50)]
+            for mapping in maps:
+                want = _outcome(reference_witness_check, g, fam, mapping)
+                assert _outcome(_check_witness, g, fam, mapping) == want, (fam, mapping)
+                rejected += want is not None
+            families += 1
+    assert families == 215 and rejected > 10000, (families, rejected)
+
+
+@pytest.mark.parametrize("fam, swaps, fits", [
+    # G'_2(9): A = 0..2, x = 3, C = 4..5, b = 6..8, with b_i joined to a_i
+    # alone of A (the a=b join) and to x
+    (Family("gprime2", 9), [], True),
+    (Family("gprime2", 9), [(0, 1)], False),
+    (Family("gprime2", 9), [(6, 7)], False),
+    (Family("gprime2", 9), [(0, 1), (6, 7)], True),
+    (Family("gprime2", 9), [(3, 4)], False),
+    # G'_D(11, 3): S = 0..1, Z = 2..5, C = 6, v = 7..10 with v_i joined to z_i
+    (Family("gprimed", 11, 3), [(2, 3)], False),
+    (Family("gprimed", 11, 3), [(2, 3), (7, 8)], True),
+    # K'(9, 2): C = 0..5, x = 6, S = 7..8, both C and S cliques
+    (Family("kprime", 9, 2), [(7, 8)], True),
+    (Family("kprime", 9, 2), [(0, 5)], True),
+    (Family("kprime", 9, 2), [(0, 6)], False),
+    (Family("kprime", 9, 2), [(5, 7)], False),
+])
+def test_quotient_witness_check_on_paired_joins_and_cliques(fam, swaps, fits):
+    g = fam.build()
+    mapping = list(range(g.n))
+    for i, j in swaps:
+        mapping[i], mapping[j] = mapping[j], mapping[i]
+    want = None if fits else "witness does not preserve an edge"
+    assert _outcome(reference_witness_check, g, fam, mapping) == want
+    assert _outcome(_check_witness, g, fam, mapping) == want
+
+
+def test_classify_groups_twins_once_and_builds_no_template_row(monkeypatch):
+    classify_mod = importlib.import_module("nonham.classify")
+    rng = random.Random(42)
+    inputs = [
+        (relabel(fam.build(), rng.sample(range(fam.n), fam.n)), d)
+        for fam, d in [
+            (Family("h", 11, 2), 2),
+            (Family("kprime", 12, 3), 3),
+            (Family("gprime2", 12), 2),
+            (Family("f3", 10), 3),
+            (Family("h", 9, 1), 1),
+        ]
+    ]
+    inputs += [(g, 2) for g in rng.sample(list(stream_graph6(REPO_GRAPHS8)), 50)]
+    calls = []
+    grouping = classify_mod.twin_masks
+
+    def counted(g):
+        calls.append(g)
+        return grouping(g)
+
+    def refuse(*args):
+        raise AssertionError("classify read a template row or an edge list")
+
+    monkeypatch.setattr(classify_mod, "twin_masks", counted)
+    monkeypatch.setattr(Family, "rows", refuse)
+    monkeypatch.setattr(Graph, "edges", refuse)
+    matched = 0
+    for g, d in inputs:
+        calls.clear()
+        matched += len(classify(g, d).matched)
+        assert calls == [g]
+    assert matched >= 10, matched

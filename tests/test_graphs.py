@@ -161,6 +161,32 @@ def test_relabel_permutation():
         relabel(g, [0, 0, 1, 2])
 
 
+def test_relabel_and_add_edge_return_the_checked_graph():
+    # both skip Graph's checks: a permuted or one-edge-larger valid graph is
+    # valid, so each result must equal the Graph built from its rows
+    rng = random.Random(17)
+    for n in (1, 2, 7, 8, 9, 33, 64):
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            perm = rng.sample(range(n), n)
+            h = relabel(g, perm)
+            assert h == Graph(n, h.adj) and hash(h) == hash(Graph(n, h.adj))
+            assert sorted(h.edges()) == sorted(
+                tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()
+            )
+            for u, v in g.nonedges()[:5]:
+                bigger = add_edge(g, u, v)
+                assert bigger == Graph(n, bigger.adj)
+                assert bigger.edges() == sorted(g.edges() + [(u, v)])
+    g = random_graph(rng, 6, 0.5)
+    for bad in ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 4, 6], [-1, 1, 2, 3, 4, 5]):
+        with pytest.raises(ValueError):
+            relabel(g, bad)
+    for u, v in ((0, 0), (0, 6), (-1, 2)):
+        with pytest.raises(ValueError):
+            add_edge(g, u, v)
+
+
 def test_graph6_fixed_values():
     # frozen from the hand packer: K3 bits 111 -> 111000 -> chr(56+63)
     assert graph6_encode(complete_graph(3)) == "Bw"

@@ -421,12 +421,15 @@ def test_prior_stability_checks_template_witnesses(monkeypatch):
 
     # nonham.classify is the function the package re-exports, not the module
     classify_mod = importlib.import_module("nonham.classify")
-    monkeypatch.setattr(classify_mod, "match_template", lambda g, fam: [0] * g.n)
+    # _fits passes g's twin masks as match_template's third argument
+    monkeypatch.setattr(classify_mod, "match_template", lambda g, fam, twin=None: [0] * g.n)
     with pytest.raises(AssertionError, match="witness is not a bijection"):
         verify_prior_stability(8, 1, 2, stream_graph6(REPO_GRAPHS8))
     # a bijection that carries an edge onto a template non-edge: the reversal
     # sends vertex 0 of H(9,2), of degree 8, to a low vertex of degree 2
-    monkeypatch.setattr(classify_mod, "match_template", lambda g, fam: list(range(g.n))[::-1])
+    monkeypatch.setattr(
+        classify_mod, "match_template", lambda g, fam, twin=None: list(range(g.n))[::-1]
+    )
     with pytest.raises(AssertionError, match="witness does not preserve an edge"):
         classify_mod.classify(build_H(9, 2), 2)
 
