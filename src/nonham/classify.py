@@ -29,11 +29,13 @@ built.  ``classify`` and the sweeps of ``nonham.verify`` ask ``_fits``
 which templates a graph fits, and ``_is_member`` whether a graph is a copy
 of one.
 
-``spanning_subgraph_of`` is the generic search for a bijection between
-equal-order vertex sets carrying every edge of a graph into any template.
-Degree-compatibility pruning (a vertex may only map to a template vertex of
-at least its degree) cuts its search; candidates are tried in ascending
-template degree.  It and ``is_isomorphic`` are the tests' oracle; no sweep
+``spanning_subgraph_of`` finds a bijection between equal-order vertex sets
+carrying every edge of a graph into any template: after the edge-count and
+degree-sequence exits, its witness is the first labelled copy of the graph
+in the template that ``nonham.counting``'s copy search finds, with template
+vertices tried in ascending degree.  It shares no search with
+``match_template``, whose oracle it is (only ``_layout``, which completes a
+partial map); it and ``is_isomorphic`` are the tests' oracle, and no sweep
 calls them.
 """
 
@@ -43,8 +45,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from nonham.counting import _search_core_copies
 from nonham.families import Family
-from nonham.graphs import Graph, bits, mask_of, twin_masks
+from nonham.graphs import Graph, bits, mask_of, relabel, twin_masks
 
 
 def spanning_subgraph_of(g: Graph, template: Graph) -> list[int] | None:
@@ -62,39 +65,15 @@ def spanning_subgraph_of(g: Graph, template: Graph) -> list[int] | None:
     for a, b in zip(sorted(gdeg), sorted(tdeg)):
         if a > b:
             return None
-    order = sorted(range(n), key=lambda v: (-gdeg[v], v))
-    tsorted = sorted(range(n), key=lambda w: (tdeg[w], w))
-    cand_mask = [
-        sum(1 << w for w in range(n) if tdeg[w] >= gdeg[v]) for v in range(n)
-    ]
-    back: list[list[int]] = []
-    pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        back.append([pos[u] for u in bits(g.adj[v]) if pos[u] < i])
-    images = [0] * n
-
-    def place(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        cand = cand_mask[v] & ~used
-        for j in back[i]:
-            cand &= template.adj[images[j]]
-        for w in tsorted:
-            if cand >> w & 1:
-                images[i] = w
-                if place(i + 1, used | 1 << w):
-                    return True
-        return False
-
-    found = place(0, 0)
-    del place  # the closure holds itself through its cell: free it now
-    if not found:
+    # the copy search tries host vertices in index order: relabel the
+    # template so that index order is ascending degree
+    rank = sorted(range(n), key=lambda w: (tdeg[w], w))
+    host = relabel(template, sorted(range(n), key=rank.__getitem__))
+    core = sum(1 for row in g.adj if row)
+    first: dict[int, int] = {}
+    if core and not _search_core_copies(host, g, core, first):
         return None
-    result = [0] * n
-    for i, v in enumerate(order):
-        result[v] = images[i]
-    return result
+    return _layout(n, {v: rank[w] for v, w in first.items()})
 
 
 def is_isomorphic(g: Graph, other: Graph) -> bool:
@@ -109,8 +88,9 @@ def is_isomorphic(g: Graph, other: Graph) -> bool:
 def _layout(n: int, fixed: dict[int, int]) -> list[int]:
     """Complete a partial vertex map to a bijection of range(n).
 
-    Unmapped vertices take the unused images in ascending order; every
-    template sends them into its clique, where any placement works.
+    Unmapped vertices take the unused images in ascending order.  They are
+    vertices that can go anywhere: the clique vertices of a template, and
+    the isolated vertices of a graph placed by ``spanning_subgraph_of``.
     """
     result = [fixed.get(v, -1) for v in range(n)]
     free = iter(sorted(set(range(n)) - set(fixed.values())))

@@ -9,15 +9,19 @@ come last in that order and contribute a multiplicative falling-factorial
 tail instead of being searched.  A pattern whose non-isolated vertices form
 a clique K_c is not searched at all: each c-clique of the host carries c!
 labelled copies of it.  An automorphism of F is a labeled copy of F
-in itself, so ``automorphism_count`` runs the same search on (F, F).  In both
-searches of this module, for embeddings and for cliques, the last vertex is
-counted, not searched: its candidate set is one bitmask, and its size is one
-``int.bit_count()``.  The clique search steps by classes of closed twins
-(vertices with the same closed neighbourhood), not by vertices: a class is a
-clique of interchangeable vertices, so the cliques that meet it are counted
-with binomial coefficients.  A blow-up of a quotient on p parts, such as
-every extremal family of ``nonham.families``, then costs about as much as
-its quotient, whatever the sizes of its clique parts.
+in itself, so ``automorphism_count`` runs the same search on (F, F).  The
+copy search also gives the first copy it meets: a spanning subgraph of a
+template is a labelled copy of it in the template, and
+``nonham.classify.spanning_subgraph_of`` takes its witness from there.  In
+both searches of this module, for embeddings and for cliques, the last
+vertex is counted, not searched: its candidate set is one bitmask, and its
+size is one ``int.bit_count()``.  The clique search steps by classes of
+closed twins (vertices with the same closed neighbourhood), not by
+vertices: a class is a clique of interchangeable vertices, so the cliques
+that meet it are counted with binomial coefficients.  A blow-up of a
+quotient on p parts, such as every extremal family of ``nonham.families``,
+then costs about as much as its quotient, whatever the sizes of its clique
+parts.
 """
 
 from __future__ import annotations
@@ -63,8 +67,16 @@ def count_labeled_embeddings(g: Graph, f: Graph) -> int:
     return _search_core_copies(g, f, core) * tail
 
 
-def _search_core_copies(g: Graph, f: Graph, core: int) -> int:
-    """Labelled copies in g of f's ``core`` non-isolated vertices, by search."""
+def _search_core_copies(
+    g: Graph, f: Graph, core: int, first: dict[int, int] | None = None
+) -> int:
+    """Labelled copies in g of f's ``core`` non-isolated vertices, by search.
+
+    Given a dict ``first``, the search stops at its first copy, fills
+    ``first`` with that copy (f-vertex to g-vertex) and returns 1; it
+    returns 0 when there is none.  Candidates are tried in ascending g-vertex
+    order.
+    """
     f_degs = f.degrees()
     order = _pattern_order(f)[:core]
     g_degs = g.degrees()
@@ -80,11 +92,17 @@ def _search_core_copies(g: Graph, f: Graph, core: int) -> int:
         for j in back[i]:
             cand &= adj[images[j]]
         if i == last:
+            if first is not None and cand:
+                images[i] = (cand & -cand).bit_length() - 1
+                first.update(zip(order, images))
+                return 1
             return cand.bit_count()
         total = 0
         for w in bits(cand):
             images[i] = w
             total += place(i + 1, used | 1 << w)
+            if first is not None and total:
+                break
         return total
 
     total = place(0, 0)

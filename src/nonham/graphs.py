@@ -67,8 +67,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         n, adj = self.n, self.adj
-        if not 1 <= n <= MAX_ORDER:
-            raise ValueError(f"graph order {n} outside 1..{MAX_ORDER}")
+        _check_order(n)
         if len(adj) != n:
             raise ValueError("adjacency row count does not match order")
         if min(adj) >= 0 and max(adj) < 1 << n:

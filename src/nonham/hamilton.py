@@ -74,20 +74,6 @@ class PathPartition:
 
     paths: tuple[tuple[int, ...], ...]
 
-    def validate(self, h: Graph) -> None:
-        seen: set[int] = set()
-        for path in self.paths:
-            if not path:
-                raise ValueError("empty path in partition")
-            for a, b in zip(path, path[1:]):
-                if not h.has_edge(a, b):
-                    raise ValueError(f"non-adjacent consecutive pair ({a},{b})")
-            if seen & set(path):
-                raise ValueError("paths are not vertex-disjoint")
-            seen |= set(path)
-        if seen != set(range(h.n)):
-            raise ValueError("paths do not cover the vertex set")
-
 
 def _component(adj: tuple[int, ...], seed: int, within: int) -> int:
     """The vertices reachable from the mask ``seed`` through the mask ``within``."""

@@ -112,6 +112,23 @@ def reference_witness_check(g: Graph, fam, mapping: list[int]) -> None:
         raise AssertionError("witness does not preserve an edge")
 
 
+def validate_path_partition(part, h: Graph) -> None:
+    """Raise ValueError unless ``part``'s paths are nonempty, follow edges of
+    h, are vertex-disjoint and cover h's vertices."""
+    seen: set[int] = set()
+    for path in part.paths:
+        if not path:
+            raise ValueError("empty path in partition")
+        for a, b in zip(path, path[1:]):
+            if not h.has_edge(a, b):
+                raise ValueError(f"non-adjacent consecutive pair ({a},{b})")
+        if seen & set(path):
+            raise ValueError("paths are not vertex-disjoint")
+        seen |= set(path)
+    if seen != set(range(h.n)):
+        raise ValueError("paths do not cover the vertex set")
+
+
 def oracle_automorphisms(f: Graph) -> int:
     count = 0
     edge_set = set(f.edges())

@@ -20,6 +20,7 @@ from helpers import (
     oracle_spanning,
     random_graph,
     random_supergraph,
+    validate_path_partition,
 )
 from nonham.classify import is_isomorphic, spanning_subgraph_of
 from nonham.counting import count_cliques, count_labeled_embeddings
@@ -301,7 +302,7 @@ def test_criterion_11_path_partition():
                     if all(degs[u] + degs[v] >= n - t for u, v in g.nonedges()):
                         part = path_partition(g, t)
                         assert part is not None, (g, t)
-                        part.validate(g)
+                        validate_path_partition(part, g)
                         assert len(part.paths) <= t, (g, t)
 
 

@@ -23,6 +23,7 @@ from nonham.classify import (
     match_template,
     spanning_subgraph_of,
 )
+from nonham.counting import count_labeled_embeddings
 from nonham.enumeration import enumerate_nonisomorphic, stream_graph6
 from nonham.families import Family, build_Gprime2, build_H, build_Kprime
 from nonham.graphs import Graph, build_from_edges, complete_graph, graph6_encode, relabel
@@ -41,11 +42,30 @@ def test_spanning_basic():
         spanning_subgraph_of(complete_graph(3), complete_graph(4))
 
 
+def _with_isolated_vertices(rng):
+    """Edgeless graphs of orders 1 to 7, then graphs with one or two isolated
+    vertices at random positions."""
+    for n in range(1, 8):
+        yield build_from_edges(n, [])
+    for _ in range(40):
+        k = rng.choice([1, 2])
+        core = random_graph(rng, rng.randrange(2, 6), 0.6)
+        n = core.n + k
+        yield relabel(build_from_edges(n, core.edges()), rng.sample(range(n), n))
+
+
 def test_spanning_witness_preserves_edges():
     rng = random.Random(31)
-    for _ in range(60):
-        g = random_graph(rng, rng.randrange(2, 8), 0.4)
-        template = random_supergraph(rng, g, rng.randrange(0, 6))
+
+    def pairs():
+        for _ in range(60):
+            g = random_graph(rng, rng.randrange(2, 8), 0.4)
+            yield g, random_supergraph(rng, g, rng.randrange(0, 6))
+        for g in _with_isolated_vertices(rng):
+            template = random_supergraph(rng, g, rng.randrange(0, 6))
+            yield g, relabel(template, rng.sample(range(g.n), g.n))
+
+    for g, template in pairs():
         found = spanning_subgraph_of(g, template)
         assert found is not None
         assert sorted(found) == list(range(g.n))
@@ -55,12 +75,17 @@ def test_spanning_witness_preserves_edges():
 
 def test_spanning_vs_oracle():
     rng = random.Random(32)
+    pairs = []
     for trial in range(200):
         n = rng.randrange(2, 8)
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
-        template = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        pairs.append((g, random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))))
+    for g in _with_isolated_vertices(rng):
+        pairs.append((g, random_graph(rng, g.n, rng.choice([0.3, 0.5, 0.7]))))
+    for g, template in pairs:
         got = spanning_subgraph_of(g, template)
         assert (got is not None) == oracle_spanning(g, template)
+        assert (got is not None) == (count_labeled_embeddings(template, g) > 0)
 
 
 def test_spanning_vs_networkx_monomorphism():

@@ -8,6 +8,7 @@ from helpers import (
     oracle_ham_path,
     oracle_is_hamiltonian,
     random_graph,
+    validate_path_partition,
 )
 from nonham import hamilton
 from nonham.enumeration import enumerate_nonisomorphic
@@ -612,16 +613,16 @@ def test_path_partition_examples():
     p3 = build_from_edges(3, [(0, 1), (1, 2)])
     part = path_partition(p3, 1)
     assert len(part.paths) == 1
-    part.validate(p3)
+    validate_path_partition(part, p3)
 
     empty2 = build_from_edges(2, [])
     part = path_partition(empty2, 2)
-    part.validate(empty2)
+    validate_path_partition(part, empty2)
     assert len(part.paths) == 2
 
     matching = build_from_edges(4, [(0, 1), (2, 3)])
     part = path_partition(matching, 2)
-    part.validate(matching)
+    validate_path_partition(part, matching)
     assert len(part.paths) == 2
     assert path_partition(matching, 1) is None
 
@@ -642,7 +643,7 @@ def test_path_partition_degree_hypothesis():
                 if all(degs[u] + degs[v] >= n - t for u, v in g.nonedges()):
                     part = path_partition(g, t)
                     assert part is not None, (g, t)
-                    part.validate(g)
+                    validate_path_partition(part, g)
                     assert len(part.paths) <= t
 
 
@@ -653,7 +654,7 @@ def test_path_partition_on_order_64():
         h = _relabelled(g, seed)
         for t in (1, 2):
             part = path_partition(h, t)
-            part.validate(h)
+            validate_path_partition(part, h)
             assert len(part.paths) == 1
 
 
@@ -690,11 +691,11 @@ def test_path_partition_with_more_than_n_paths():
 def test_path_partition_validate_rejects_bad():
     p3 = build_from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        PathPartition(((0, 2),)).validate(p3)  # non-adjacent pair
+        validate_path_partition(PathPartition(((0, 2),)), p3)  # non-adjacent pair
     with pytest.raises(ValueError):
-        PathPartition(((0, 1),)).validate(p3)  # missing vertex
+        validate_path_partition(PathPartition(((0, 1),)), p3)  # missing vertex
     with pytest.raises(ValueError):
-        PathPartition(((0, 1), (1, 2))).validate(p3)  # overlap
+        validate_path_partition(PathPartition(((0, 1), (1, 2))), p3)  # overlap
 
 
 def test_cut_vertex_pass_matches_vertex_deletion():
