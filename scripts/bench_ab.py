@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""A/B benchmark of the working tree against a parent commit.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/bench_ab.py --parent HEAD
+
+The parent is checked out with ``git worktree`` in a temporary directory.
+Each of ten pairs runs ``perfbench/run.py`` once in the parent and once in
+the working tree, on every workload that BENCHMARK.json lists, at seed 1 and
+for BENCHMARK.json's ``run_seconds``, and alternates which side goes first.  Each tree runs its own ``perfbench`` against its own
+``src``.  The script writes ``BENCH_<short-sha>.json`` at the repo root,
+named after the parent's short sha.  For each workload and end-to-end metric
+it gives every run's value, each side's median and quartiles, and the pairs
+the change won.  It also records the machine and the Python version.  With
+``--parent HEAD`` on a clean tree both sides run the same code (an A/A run).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+SEED = 1
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its result line, with the
+    calibration's unscaled figures from the file the run writes."""
+    argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    result = json.loads(lines[-1])
+    out = tree / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    result["unscaled"] = json.loads(out.read_text(encoding="ascii")).get("unscaled")
+    return result
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method) of one side's runs."""
+    if len(values) < 2:
+        return {"median": values[0] if values else None, "q1": None, "q3": None}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric: both sides' values and spreads, and the pairs
+    in which the change read better, ties counting for neither side."""
+    out = {}
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        rows = {"unit": metric["unit"], "better": metric["better"]}
+        values = {side: [r[side]["metrics"][name]["value"] for r in runs
+                         if "metrics" in r[side] and name in r[side]["metrics"]]
+                  for side in ("parent", "change")}
+        for side, vals in values.items():
+            rows[side] = {"runs": vals, **spread(vals)}
+        wins = 0
+        for r in runs:
+            try:
+                a = r["parent"]["metrics"][name]["value"]
+                b = r["change"]["metrics"][name]["value"]
+            except KeyError:
+                continue
+            wins += (b > a) if higher else (b < a)
+        rows["change_wins"] = wins
+        base, new = rows["parent"]["median"], rows["change"]["median"]
+        if base and new is not None:
+            rows["median_change_pct"] = 100 * (new - base) / base
+        out[name] = rows
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="the commit to compare against")
+    args = parser.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    parent = git("rev-parse", args.parent)
+    short = git("rev-parse", "--short", parent)
+    change = {"head": git("rev-parse", "HEAD"),
+              "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    report = {
+        "parent": parent,
+        "change": change,
+        "pairs": PAIRS,
+        "seconds": seconds,
+        "seed": SEED,
+        "machine": {"platform": platform.platform(), "machine": platform.machine(),
+                    "cpus": os.cpu_count()},
+        "python": sys.version,
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
+        tree = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(tree), parent)
+        try:
+            for workload in workloads:
+                runs = []
+                for i in range(PAIRS):
+                    order = [("parent", tree), ("change", ROOT)]
+                    if i % 2:
+                        order.reverse()
+                    pair = {"first": order[0][0]}
+                    for side, where in order:
+                        pair[side] = run_once(where, workload, SEED, seconds)
+                    runs.append(pair)
+                    print(f"{workload} pair {i + 1}/{PAIRS}: "
+                          + json.dumps({s: pair[s].get("metrics", pair[s]) for s in ("parent", "change")}),
+                          file=sys.stderr, flush=True)
+                report["workloads"][workload] = {
+                    "correct": {side: [r[side].get("correct") for r in runs]
+                                for side in ("parent", "change")},
+                    "metrics": summarize(runs, bench["end_to_end"]),
+                    "runs": runs,
+                }
+        finally:
+            git("worktree", "remove", "--force", str(tree))
+    path = ROOT / f"BENCH_{short}.json"
+    path.write_text(json.dumps(report, indent=2) + "\n", encoding="ascii")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

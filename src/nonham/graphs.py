@@ -81,10 +81,10 @@ class Graph:
         return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.adj)
+        return tuple(map(int.bit_count, self.adj))
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -283,7 +283,7 @@ def degree(g: Graph, v: int) -> int:
 
 
 def min_degree(g: Graph) -> int:
-    return min(row.bit_count() for row in g.adj)
+    return min(map(int.bit_count, g.adj))
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:

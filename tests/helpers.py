@@ -36,6 +36,15 @@ def oracle_is_hamiltonian(g: Graph) -> bool:
     return False
 
 
+def is_hamiltonian_cycle_of(g: Graph, seq) -> bool:
+    """``seq`` lists every vertex of g once, and each vertex is adjacent to the
+    next, the last to the first; read straight off g's rows."""
+    n = g.n
+    return sorted(seq) == list(range(n)) and all(
+        g.adj[seq[i]] >> seq[(i + 1) % n] & 1 for i in range(n)
+    )
+
+
 def oracle_ham_path(g: Graph, u: int, v: int) -> bool:
     rest = [w for w in range(g.n) if w not in (u, v)]
     for perm in permutations(rest):

@@ -1,9 +1,13 @@
 import random
+import subprocess
+import sys
+from itertools import permutations
 
 import pytest
 
 from helpers import (
     all_labeled_graphs,
+    is_hamiltonian_cycle_of,
     naive_saturate,
     oracle_ham_path,
     oracle_is_hamiltonian,
@@ -35,6 +39,7 @@ from nonham.hamilton import (
     _capacity_classes,
     _closure_complete,
     _connected,
+    _cycle_table,
     _has_cut_vertex,
     _scattered,
     _screen,
@@ -280,7 +285,9 @@ def test_closure_decides_most_hamiltonian_corpus_graphs():
 
 def test_closure_decided_graph_skips_the_search(monkeypatch):
     # K8 minus a perfect matching: every degree is 6, so the closure is
-    # complete and the search never runs for the decision
+    # complete; at order 8 the decision comes from the cycle table, so the
+    # search never runs for it (the closure's own short-circuit is tested
+    # at order 10 below)
     matching = {(0, 1), (2, 3), (4, 5), (6, 7)}
     edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) not in matching]
     g = relabel(build_from_edges(8, edges), [5, 2, 7, 0, 3, 6, 1, 4])
@@ -295,6 +302,98 @@ def test_closure_decided_graph_skips_the_search(monkeypatch):
     assert searched == [g]
     assert sorted(cyc) == list(range(8))
     assert all(g.has_edge(cyc[i], cyc[(i + 1) % 8]) for i in range(8))
+
+
+def test_closure_decides_order_10_without_the_search(monkeypatch):
+    # above the cycle table's orders the closure is still the first step:
+    # K10 minus a perfect matching has every degree 8, so it closes
+    matching = {(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)}
+    edges = [(u, v) for u in range(10) for v in range(u + 1, 10) if (u, v) not in matching]
+    g = _relabelled(build_from_edges(10, edges), 10)
+    closed = []
+    closure = hamilton._closure_complete
+    monkeypatch.setattr(hamilton, "_closure_complete", lambda h: closed.append(h) or closure(h))
+    monkeypatch.setattr(hamilton, "_search_cycle", lambda h: pytest.fail("searched"))
+    assert is_hamiltonian(g)
+    assert closed == [g]
+
+
+def _table_decision(g):
+    """The cycles of K_n that avoid every nonedge of g, as a mask."""
+    cycles, blocked = _cycle_table(g.n)
+    full = (1 << g.n) - 1
+    used = 0
+    for u in range(g.n - 1):
+        used |= blocked[u][(full ^ g.adj[u]) >> (u + 1)]
+    return cycles & ~used
+
+
+def test_cycle_table_matches_subset_dp():
+    # the table is indexed by label and the corpus is canonical, so each
+    # corpus graph is also asked under a seeded relabelling
+    from helpers import REPO_GRAPHS8
+    from nonham.enumeration import stream_graph6
+
+    graphs = [g for n in range(1, 8) for g in enumerate_nonisomorphic(n)]
+    corpus = list(stream_graph6(REPO_GRAPHS8))
+    rng = random.Random(26)
+    graphs += corpus + [relabel(g, rng.sample(range(8), 8)) for g in corpus]
+    for g in graphs:
+        want = dp_hamiltonian(g)
+        assert is_hamiltonian(g) == want, g
+        if g.n >= 3:
+            assert bool(_table_decision(g)) == want, g
+
+
+def test_cycle_table_bits_decode_to_cycles_of_the_graph():
+    # cycle k is the k-th sequence (0, *p) with p[0] < p[-1] in permutation
+    # order; the lowest surviving bit of each hamiltonian corpus graph must
+    # name one of its hamiltonian cycles
+    from helpers import REPO_GRAPHS8
+    from nonham.enumeration import stream_graph6
+
+    tours = [(0, *p) for p in permutations(range(1, 8)) if p[0] < p[-1]]
+    cycles, blocked = _cycle_table(8)
+    assert cycles == (1 << 2520) - 1 and len(tours) == 2520
+    assert [len(table) for table in blocked] == [1 << (7 - u) for u in range(7)]
+    checked = 0
+    for g in stream_graph6(REPO_GRAPHS8):
+        left = _table_decision(g)
+        if left:
+            checked += 1
+            tour = tours[(left & -left).bit_length() - 1]
+            assert is_hamiltonian_cycle_of(g, tour), (g, tour)
+    assert checked == 6196
+
+
+def test_cycle_table_is_built_per_order_on_first_use():
+    code = (
+        "import nonham\n"
+        "from nonham.graphs import complete_graph\n"
+        "from nonham.hamilton import _cycle_table\n"
+        "sizes = [_cycle_table.cache_info().currsize]\n"
+        "for n in (1, 2, 6, 9, 6):\n"
+        "    nonham.is_hamiltonian(complete_graph(n))\n"
+        "    sizes.append(_cycle_table.cache_info().currsize)\n"
+        "print(sizes)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[0, 0, 0, 1, 1, 1]"
+
+
+def test_table_orders_skip_the_closure_and_the_search(monkeypatch):
+    def refuse(g):
+        raise AssertionError("the cycle table should decide this order")
+
+    monkeypatch.setattr(hamilton, "_closure_complete", refuse)
+    monkeypatch.setattr(hamilton, "_search_cycle", refuse)
+    rng = random.Random(27)
+    for n in range(3, 9):
+        for _ in range(40):
+            g = random_graph(rng, n, rng.random())
+            assert is_hamiltonian(g) == oracle_is_hamiltonian(g), g
+    assert is_hamiltonian(complete_graph(8))
+    assert not is_hamiltonian(build_H(8, 3))
 
 
 def _relabelled(g, seed):
