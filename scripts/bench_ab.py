@@ -5,14 +5,18 @@ Usage, from the root of a checkout:
 
     python3 scripts/bench_ab.py --parent HEAD
 
-The parent is checked out with ``git worktree`` in a temporary directory.
-Each of ten pairs runs ``perfbench/run.py`` once in the parent and once in
-the working tree, on every workload that BENCHMARK.json lists, at seed 1 and
-for BENCHMARK.json's ``run_seconds``, and alternates which side goes first.  Each tree runs its own ``perfbench`` against its own
-``src``.  The script writes ``BENCH_<short-sha>.json`` at the repo root,
-named after the parent's short sha.  For each workload and end-to-end metric
-it gives every run's value, each side's median and quartiles, and the pairs
-the change won.  It also records the machine and the Python version.  With
+The parent's committed files are unpacked with ``git archive``, and the
+working tree's files that git tracks or does not ignore are copied, each into
+a new temporary directory that is removed at the end, so that neither side
+runs among files that earlier runs left behind.  Each of ten pairs runs
+``perfbench/run.py`` once on each side, on every workload that
+BENCHMARK.json lists, at seed 1 and for BENCHMARK.json's ``run_seconds``, and
+alternates which side goes first.  Each side runs its own ``perfbench``
+against its own ``src``.  The script writes ``BENCH_<short-sha>.json`` at the
+repo root, named after the parent's short sha.  For each workload and
+end-to-end metric it gives every run's value, each side's median and
+quartiles, and the pairs the change won.  It also records the machine and
+the Python version.  With
 ``--parent HEAD`` on a clean tree both sides run the same code (an A/A run).
 """
 
@@ -22,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,6 +41,15 @@ SEED = 1
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def copy_working_tree(dest: Path) -> None:
+    """The working tree's files that git tracks or does not ignore, in dest."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():  # a tracked file may be deleted
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -112,30 +126,29 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
-        tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(tree), parent)
-        try:
-            for workload in workloads:
-                runs = []
-                for i in range(PAIRS):
-                    order = [("parent", tree), ("change", ROOT)]
-                    if i % 2:
-                        order.reverse()
-                    pair = {"first": order[0][0]}
-                    for side, where in order:
-                        pair[side] = run_once(where, workload, SEED, seconds)
-                    runs.append(pair)
-                    print(f"{workload} pair {i + 1}/{PAIRS}: "
-                          + json.dumps({s: pair[s].get("metrics", pair[s]) for s in ("parent", "change")}),
-                          file=sys.stderr, flush=True)
-                report["workloads"][workload] = {
-                    "correct": {side: [r[side].get("correct") for r in runs]
-                                for side in ("parent", "change")},
-                    "metrics": summarize(runs, bench["end_to_end"]),
-                    "runs": runs,
-                }
-        finally:
-            git("worktree", "remove", "--force", str(tree))
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        trees["parent"].mkdir()
+        archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+        copy_working_tree(trees["change"])
+        for workload in workloads:
+            runs = []
+            for i in range(PAIRS):
+                order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_once(trees[side], workload, SEED, seconds)
+                runs.append(pair)
+                print(f"{workload} pair {i + 1}/{PAIRS}: "
+                      + json.dumps({s: pair[s].get("metrics", pair[s]) for s in ("parent", "change")}),
+                      file=sys.stderr, flush=True)
+            report["workloads"][workload] = {
+                "correct": {side: [r[side].get("correct") for r in runs]
+                            for side in ("parent", "change")},
+                "metrics": summarize(runs, bench["end_to_end"]),
+                "runs": runs,
+            }
     path = ROOT / f"BENCH_{short}.json"
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="ascii")
     print(path)

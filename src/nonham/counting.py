@@ -15,21 +15,27 @@ template is a labelled copy of it in the template, and
 ``nonham.classify.spanning_subgraph_of`` takes its witness from there.  In
 both searches of this module, for embeddings and for cliques, the last
 vertex is counted, not searched: its candidate set is one bitmask, and its
-size is one ``int.bit_count()``.  The clique search steps by classes of
-closed twins (vertices with the same closed neighbourhood), not by
-vertices: a class is a clique of interchangeable vertices, so the cliques
-that meet it are counted with binomial coefficients.  A blow-up of a
-quotient on p parts, such as every extremal family of ``nonham.families``,
-then costs about as much as its quotient, whatever the sizes of its clique
-parts.
+size is one ``int.bit_count()``.  ``count_cliques`` at 2 <= k <= n <= 8
+does not search: it reads a table of every k-subset of K_n, one bit each,
+built on the first count at each (n, k) by the builder of
+``nonham.hamilton``'s cycle table, where n - 1 lookups give the subsets that
+use a nonedge of G and the cliques are the rest.  The clique search, for
+other (n, k), steps by classes of closed twins (vertices with the same
+closed neighbourhood), not by vertices: a class is a clique of
+interchangeable vertices, so the cliques that meet it are counted with
+binomial coefficients.  A blow-up of a quotient on p parts, such as every
+extremal family of ``nonham.families``, then costs about as much as its
+quotient, whatever the sizes of its clique parts.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 
 from nonham.formulas import falling_factorial
-from nonham.graphs import Graph, _groups, bits
+from nonham.graphs import _TABLE_MAX, Graph, _groups, _shape_table, _shapes_left, bits
 
 
 def _pattern_order(f: Graph) -> list[int]:
@@ -110,8 +116,30 @@ def _search_core_copies(
     return total
 
 
+@lru_cache(maxsize=None)
+def _clique_table(n: int, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Every k-subset of K_n as one bit, in ``combinations`` order, as a
+    ``_shape_table`` whose slots are all pairs of the subset.  Built on the
+    first count at each (n, k)."""
+    return _shape_table(n, list(combinations(range(n), k)), list(combinations(range(k), 2)))
+
+
 def count_cliques(g: Graph, k: int) -> int:
     """Number of k-vertex subsets inducing complete subgraphs.
+
+    At 2 <= k <= n <= 8 the count is read from ``_clique_table(n, k)``, as
+    the k-subsets that use no nonedge of g; other (n, k) take
+    ``_twin_clique_count``.
+    """
+    if k < 1:
+        raise ValueError("count_cliques needs k >= 1")
+    if 2 <= k <= g.n <= _TABLE_MAX:
+        return _shapes_left(_clique_table(g.n, k), g.adj).bit_count()
+    return _twin_clique_count(g, k)
+
+
+def _twin_clique_count(g: Graph, k: int) -> int:
+    """``count_cliques`` by search, for any order and k >= 1.
 
     Each clique is counted at its lowest vertex v among the candidates, as a
     clique of the rest in v's later neighbours.  When at least three vertices
@@ -120,8 +148,6 @@ def count_cliques(g: Graph, k: int) -> int:
     neighbours N outside S, so the cliques meeting S number
     sum over j >= 1 of C(|S|, j) times the (need - j)-cliques of N.
     """
-    if k < 1:
-        raise ValueError("count_cliques needs k >= 1")
     adj = g.adj
     # closed-twin classes, keyed by their common closed neighbourhood
     classes = _groups([row | 1 << v for v, row in enumerate(adj)]) if k >= 3 else {}

@@ -15,6 +15,10 @@ payload column) pair builds that byte for every record, and one transpose
 of the block's packed int gives every record's rows.  A block that fails a
 check is left to ``graph6_decode``, line by line.  Each lane's tables are
 built on its first decode.
+
+``_shape_table`` builds the bit-parallel tables of subgraphs of K_n that
+``nonham.hamilton`` (hamiltonian cycles) and ``nonham.counting`` (k-cliques)
+read at orders up to ``_TABLE_MAX``.
 """
 
 from __future__ import annotations
@@ -242,6 +246,57 @@ def twin_masks(g: Graph) -> list[int]:
         (opened[row] | closed[row | 1 << v]) & ~(1 << v)
         for v, row in enumerate(g.adj)
     ]
+
+
+# the largest order read through a shape table: a table holds 2^n - 2 masks,
+# and the hamiltonian cycles of K_9 would take 20,160 bits each, about 1.3 MB
+_TABLE_MAX = 8
+
+
+def _shape_table(
+    n: int, shapes: list[tuple[int, ...]], slots: list[tuple[int, int]]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """A table of subgraphs of K_n ("shapes") by the vertex pairs they use.
+
+    Shape k is the k-th of ``shapes``, equal-length vertex tuples; a shape s
+    uses the pair {s[i], s[j]} for each (i, j) in ``slots``.  Returns (all,
+    blocked): ``all`` has bit k for shape k, and ``blocked[u][m]``, for
+    u < n - 1 and a mask m of vertices above u (bit i for vertex u + 1 + i),
+    is the set of shapes that use some pair u, u + 1 + i with bit i of m set.
+
+    The build runs column by column: byte k of a column is shape k's vertex
+    at that position, and a slot's codes a*n + b come from one product and
+    sum of two columns read as ints (no carry, as a*n + b < n*n <= 64).  One
+    ``bytes.translate`` per slot and pair writes ASCII 1 where a shape uses
+    the pair; read little-endian and written big-endian, shape k sits at
+    digit len(shapes) - 1 - k, so ``int(..., 2)`` gives it as bit k.
+    """
+    count = len(shapes)
+    cols = [int.from_bytes(bytes(col), "little") for col in zip(*shapes)]
+    codes = [(cols[i] * n + cols[j]).to_bytes(count, "big") for i, j in slots]
+    blocked = []
+    for u in range(n - 1):
+        table = [0]
+        for v in range(u + 1, n):
+            digits = bytearray(b"0" * 256)
+            digits[u * n + v] = digits[v * n + u] = ord("1")
+            pair = 0
+            for slot in codes:
+                pair |= int(slot.translate(digits), 2)
+            table += [m | pair for m in table]
+        blocked.append(tuple(table))
+    return (1 << count) - 1, tuple(blocked)
+
+
+def _shapes_left(table: tuple[int, tuple[tuple[int, ...], ...]], adj: tuple[int, ...]) -> int:
+    """The shapes of a ``_shape_table`` of K_n whose pairs are all edges of
+    the graph on n vertices with rows ``adj``: n - 1 lookups and ORs."""
+    every, blocked = table
+    full = (1 << len(adj)) - 1
+    used = 0
+    for u, lookup in enumerate(blocked):
+        used |= lookup[(full ^ adj[u]) >> (u + 1)]
+    return every ^ used
 
 
 def _check_order(n: int) -> None:

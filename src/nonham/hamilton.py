@@ -11,8 +11,9 @@ are joined to each other and to every vertex of G.  ``is_hamiltonian`` at
    such cycles, 2,520 at n = 8, one bit each, and a table per vertex u gives
    the cycles that use a nonedge from u to a vertex above it, so n - 1
    lookups and ORs decide G.  The tables are built on the first decision at
-   each order; at n = 8 that takes about 7 ms (2-vCPU VM, Python 3.11) and
-   holds about 90 KB.
+   each order, column by column by ``graphs._shape_table``, which also
+   builds ``nonham.counting``'s clique tables; at n = 8 that takes about
+   3 ms (2-vCPU VM, Python 3.11) and holds about 90 KB.
 
 Larger orders, and every witness, take these steps in order, and the first
 that answers wins:
@@ -62,10 +63,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
 from typing import Iterator
 
-from nonham.graphs import Graph, _twin_groups, _unchecked_graph, add_edge, bits, twin_masks
+from nonham.graphs import (
+    _TABLE_MAX,
+    Graph,
+    _shape_table,
+    _shapes_left,
+    _twin_groups,
+    _unchecked_graph,
+    add_edge,
+    bits,
+    twin_masks,
+)
 
 
 @dataclass(frozen=True)
@@ -320,41 +330,19 @@ def _extend_path(
     return path if found else None
 
 
-# the largest order that is_hamiltonian decides by _cycle_table; n = 9 would
-# take 20,160 cycles and about 1.3 MB
-_TABLE_MAX = 8
-
-
 @lru_cache(maxsize=None)
 def _cycle_table(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Every hamiltonian cycle of K_n as one bit, for step 0 of the decision.
 
     Cycle k is the k-th sequence 0, p[0], ..., p[-1] with p[0] < p[-1], for p
     in ``permutations(range(1, n))`` order: (n - 1)!/2 cycles, 2,520 at n = 8.
-    Returns (cycles, blocked): ``cycles`` has a bit per cycle, and
-    ``blocked[u][m]``, for u < n - 1 and a mask m of vertices above u (bit i
-    for vertex u + 1 + i), is the set of cycles that use some pair u,
-    u + 1 + i with bit i of m set.  Built on the first call at each order:
-    at n = 8, 254 entries of up to 2,520 bits, about 90 KB.
+    It is a ``_shape_table`` whose slots are the n consecutive pairs of the
+    sequence, so ``blocked[u][m]`` is the set of cycles that use some pair
+    u, u + 1 + i with bit i of m set.  Built on the first call at each order:
+    at n = 8, 254 entries of up to 2,520 bits, about 90 KB, in about 3 ms.
     """
-    count = factorial(n - 1) // 2
-    tours = (p for p in permutations(range(1, n)) if p[0] < p[-1])
-    uses = [[bytearray((count + 7) // 8) for _ in range(n)] for _ in range(n)]
-    for k, tour in enumerate(tours):
-        byte, bit = k >> 3, 1 << (k & 7)
-        a = 0
-        for b in tour:
-            uses[min(a, b)][max(a, b)][byte] |= bit
-            a = b
-        uses[0][a][byte] |= bit
-    blocked = []
-    for u in range(n - 1):
-        table = [0]
-        for v in range(u + 1, n):
-            pair = int.from_bytes(uses[u][v], "little")
-            table += [m | pair for m in table]
-        blocked.append(tuple(table))
-    return (1 << count) - 1, tuple(blocked)
+    tours = [(0, *p) for p in permutations(range(1, n)) if p[0] < p[-1]]
+    return _shape_table(n, tours, [(i, (i + 1) % n) for i in range(n)])
 
 
 def _closure_complete(g: Graph) -> bool:
@@ -432,13 +420,7 @@ def is_hamiltonian(g: Graph) -> bool:
     """
     n = g.n
     if 3 <= n <= _TABLE_MAX:
-        cycles, blocked = _cycle_table(n)
-        full = (1 << n) - 1
-        adj = g.adj
-        used = 0
-        for u in range(n - 1):
-            used |= blocked[u][(full ^ adj[u]) >> (u + 1)]
-        return used != cycles
+        return _shapes_left(_cycle_table(n), g.adj) != 0
     return _closure_complete(g) or _search_cycle(g) is not None
 
 

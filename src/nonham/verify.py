@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from nonham.classify import _fits, _is_member, _template_set
 from nonham.counting import count_cliques
 from nonham.families import Family
-from nonham.formulas import e_bound, edge_floor, h_k, star_count_formula
+from nonham.formulas import e_bound, edge_floor, falling_factorial, h_k, star_count_formula
 from nonham.graphs import Graph, graph6_encode, min_degree
 from nonham.hamilton import is_hamiltonian, is_saturated
 
@@ -135,11 +135,14 @@ def _fits_above(k: int, threshold: int, families: Sequence[Family]):
 
 def _star(n: int, d: int, t: int):
     extremes = (Family("h", n, d), Family("h", n, _half(n)))
+    bound = max(star_count_formula(fam.build().degrees(), t) for fam in extremes)
+    # star_count_formula by lookup: a vertex of degree x centres (x)_{t-1} stars
+    centred = [falling_factorial(x, t - 1) for x in range(n)]
 
     def stars(g: Graph) -> int:
-        return star_count_formula(g.degrees(), t)
+        return sum(map(centred.__getitem__, g.degrees()))
 
-    return _at_most(stars, max(stars(fam.build()) for fam in extremes), extremes)
+    return _at_most(stars, bound, extremes)
 
 
 def _complete_complement_radius(g: Graph) -> int | None:

@@ -85,6 +85,30 @@ def reference_check_rows(n: int, adj: tuple[int, ...]) -> None:
                 raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
 
+def reference_cycle_table(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``hamilton._cycle_table(n)`` as it was first built: one loop over the
+    tours (0, *p), p in permutation order with p[0] < p[-1], that sets each
+    tour's bit in the byte mask of every pair it uses."""
+    tours = [p for p in permutations(range(1, n)) if p[0] < p[-1]]
+    count = len(tours)
+    uses = [[bytearray((count + 7) // 8) for _ in range(n)] for _ in range(n)]
+    for k, tour in enumerate(tours):
+        byte, bit = k >> 3, 1 << (k & 7)
+        a = 0
+        for b in tour:
+            uses[min(a, b)][max(a, b)][byte] |= bit
+            a = b
+        uses[0][a][byte] |= bit
+    blocked = []
+    for u in range(n - 1):
+        table = [0]
+        for v in range(u + 1, n):
+            pair = int.from_bytes(uses[u][v], "little")
+            table += [m | pair for m in table]
+        blocked.append(tuple(table))
+    return (1 << count) - 1, tuple(blocked)
+
+
 def oracle_labeled_embeddings(g: Graph, f: Graph) -> int:
     count = 0
     fedges = f.edges()

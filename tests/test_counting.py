@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -155,12 +157,16 @@ def test_clique_embedding_consistency():
                     assert count_labeled_embeddings(g, f) == searched, (g, f)
 
 
-def _blow_up(rng):
+def _blow_up(rng, n=None):
     """A relabelled blow-up of a random quotient on at most 5 parts: each part
     a clique or an independent set of random size, two parts fully joined or
-    not, at most 10 vertices."""
+    not, at most 10 vertices, or exactly n when n is given."""
     parts = rng.randrange(1, 6)
-    sizes = [rng.randrange(1, 1 + (10 - parts) // parts + 1) for _ in range(parts)]
+    if n is None:
+        sizes = [rng.randrange(1, 1 + (10 - parts) // parts + 1) for _ in range(parts)]
+    else:
+        cuts = [0, *sorted(rng.sample(range(1, n), parts - 1)), n]
+        sizes = [b - a for a, b in zip(cuts, cuts[1:])]
     cliques = [rng.random() < 0.5 for _ in range(parts)]
     joined = {(a, b) for b in range(parts) for a in range(b) if rng.random() < 0.6}
     part_of = [p for p, size in enumerate(sizes) for _ in range(size)]
@@ -175,13 +181,61 @@ def _blow_up(rng):
 
 
 def test_clique_counts_of_blow_ups():
-    # count_cliques takes a class of closed twins in one step: check it where
-    # large classes, several classes and independent parts meet, up to k = n + 1
+    # the twin-class search takes a class of closed twins in one step: check
+    # it where large classes, several classes and independent parts meet, up
+    # to k = n + 1; count_cliques reads orders up to 8 from the clique table,
+    # so the search is also called directly there, and orders 9-12 reach it
+    # through count_cliques
     rng = random.Random(28)
-    for _ in range(150):
-        g = _blow_up(rng)
+    graphs = [_blow_up(rng) for _ in range(150)]
+    graphs += [_blow_up(rng, rng.randrange(9, 13)) for _ in range(40)]
+    assert sum(g.n >= 9 for g in graphs) >= 40
+    for g in graphs:
         for k in range(1, g.n + 2):
-            assert count_cliques(g, k) == oracle_count_cliques(g, k), (g, k)
+            want = oracle_count_cliques(g, k)
+            assert counting._twin_clique_count(g, k) == want, (g, k)
+            assert count_cliques(g, k) == want, (g, k)
+
+
+def test_clique_table_matches_the_oracle(monkeypatch):
+    # every 2 <= k <= n <= 8 takes the table, and k > n still counts 0; the
+    # table is indexed by label and the corpus is canonical, so each corpus
+    # graph is also asked under a seeded relabelling
+    search = counting._twin_clique_count
+
+    def beyond_the_table(g, k):
+        assert k == 1 or k > g.n, (g, k)
+        return search(g, k)
+
+    monkeypatch.setattr(counting, "_twin_clique_count", beyond_the_table)
+    graphs = [g for n in range(1, 8) for g in enumerate_nonisomorphic(n)]
+    corpus = list(stream_graph6(REPO_GRAPHS8))
+    assert len(graphs) == 1252 and len(corpus) == 12346
+    rng = random.Random(27)
+    for g in graphs + corpus:
+        same = [g] if g.n < 8 else [g, relabel(g, rng.sample(range(8), 8))]
+        for k in range(2, g.n + 1):
+            want = oracle_count_cliques(g, k)
+            for h in same:
+                assert count_cliques(h, k) == want, (h, k)
+        for h in same:
+            assert count_cliques(h, g.n + 1) == 0
+
+
+def test_clique_table_is_built_per_order_and_size_on_first_use():
+    code = (
+        "from math import comb\n"
+        "import nonham\n"
+        "from nonham.counting import _clique_table\n"
+        "from nonham.graphs import complete_graph\n"
+        "sizes = [_clique_table.cache_info().currsize]\n"
+        "for n, k in ((8, 1), (9, 3), (3, 4), (6, 3), (6, 3), (6, 4), (8, 2), (6, 3)):\n"
+        "    assert nonham.count_cliques(complete_graph(n), k) == comb(n, k)\n"
+        "    sizes.append(_clique_table.cache_info().currsize)\n"
+        "print(sizes)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 1, 1, 2, 3, 3]"
 
 
 def test_clique_counts_of_relabelled_families():

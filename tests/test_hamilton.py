@@ -12,6 +12,7 @@ from helpers import (
     oracle_ham_path,
     oracle_is_hamiltonian,
     random_graph,
+    reference_cycle_table,
     validate_path_partition,
 )
 from nonham import hamilton
@@ -26,6 +27,7 @@ from nonham.families import (
     build_Kprime,
 )
 from nonham.graphs import (
+    _shapes_left,
     _twin_groups,
     add_edge,
     build_from_edges,
@@ -320,12 +322,7 @@ def test_closure_decides_order_10_without_the_search(monkeypatch):
 
 def _table_decision(g):
     """The cycles of K_n that avoid every nonedge of g, as a mask."""
-    cycles, blocked = _cycle_table(g.n)
-    full = (1 << g.n) - 1
-    used = 0
-    for u in range(g.n - 1):
-        used |= blocked[u][(full ^ g.adj[u]) >> (u + 1)]
-    return cycles & ~used
+    return _shapes_left(_cycle_table(g.n), g.adj)
 
 
 def test_cycle_table_matches_subset_dp():
@@ -364,6 +361,11 @@ def test_cycle_table_bits_decode_to_cycles_of_the_graph():
             tour = tours[(left & -left).bit_length() - 1]
             assert is_hamiltonian_cycle_of(g, tour), (g, tour)
     assert checked == 6196
+
+
+def test_cycle_table_equals_the_reference_build():
+    for n in range(3, 9):
+        assert _cycle_table(n) == reference_cycle_table(n), n
 
 
 def test_cycle_table_is_built_per_order_on_first_use():
