@@ -36,10 +36,21 @@ graph on n vertices therefore arises exactly once by giving the new vertex
 n-1 each possible neighborhood in each canonical (n-1)-graph and keeping the
 children that are their own canonical form.  A child's code is its parent's
 code followed by the new column, so it is built, not recomputed, and the
-search stops at the first code below it.  A swap test skips most children
-before the search: one whose new column is below its parent's last column
-is never canonical (see ``_canonical_graphs``).  Larger orders come from
-external graph6 files.
+search stops at the first code below it.  Two filters skip most children
+before the search (see ``_children``), each by a relabeling that gives the
+child a smaller code:
+
+* the swap test: a child whose new column is below its parent's last
+  column loses to the swap of its last two vertices;
+* the automorphism test: relabeling the child by an automorphism a of its
+  parent, with the new vertex fixed, keeps the parent's code and maps the
+  new vertex's neighborhood S to a(S), so the child loses when the column
+  of a(S) is below that of S.  The automorphisms cost no search: the swaps
+  of twins, and the leaves of the parent's own canonicity search whose
+  code ties the parent's.
+
+At n = 7 the filters leave 1,311 of the 9,984 children to search, and at
+n = 8 16,088 of 133,632.  Larger orders come from external graph6 files.
 """
 
 from __future__ import annotations
@@ -68,25 +79,47 @@ INTERNAL_MAX_ORDER = 8
 def _canonical_graphs(n: int) -> tuple[Graph, ...]:
     """The canonical graphs on n vertices in ascending code order.
 
-    The children of each canonical (n-1)-graph that pass the swap test go
-    to the canonicity search, and are kept when they are their own
-    canonical form.  The swap test skips a child whose new column over
-    vertices 0..n-3 is below the parent's last column, the column of vertex
-    n-2 over the same vertices.  It is sound: swapping vertices n-2 and n-1
-    keeps every column before n-2 and puts the new column at n-2, so it
-    gives the child a smaller code, and the child is not canonical.  At
-    n = 7 it leaves 2,682 of the 9,984 children to search.
+    The children of each canonical (n-1)-graph that pass ``_children``'s
+    filters go to the canonicity search, and are kept when they are their
+    own canonical form.  A filter skips a child only when a relabeling gives
+    it a smaller code, so no canonical child is lost:
+
+    * the swap test skips a child whose new column over vertices 0..n-3 is
+      below the parent's last column.  Swapping vertices n-2 and n-1 keeps
+      every column before n-2 and puts the new column there.
+    * the automorphism test skips a child whose new vertex's neighborhood S
+      some automorphism a of the parent maps to a set of smaller column.
+      Relabeling the child by a, with n-1 fixed, gives back the parent's
+      code, then that smaller column.
+
+    At n = 7 the swap test alone left 2,682 of the 9,984 children to search,
+    and with the automorphism test 1,311 are left.  The automorphisms are
+    the swaps of twins and the tie leaves of each parent's own canonicity
+    search (see ``_min_code_perm``).  ``_generation`` records them while it
+    builds order n-1 and drops them with it once order n is built, so this
+    cache holds graphs only.
+    """
+    return tuple(g for _, g, _ in _generation(n, automorphisms=False))
+
+
+def _generation(
+    n: int, automorphisms: bool
+) -> list[tuple[int, Graph, list[list[int]] | None]]:
+    """The canonical graphs on n vertices as ``_canonical_graphs`` builds
+    them, as (code, graph, orders) in ascending code order.  With
+    ``automorphisms`` set, orders lists the tie-leaf orders of the graph's
+    canonicity search, else it is None.
     """
     if n == 1:
-        return (Graph(1, (0,)),)
-    children = [
-        (code, child)
-        for parent in _canonical_graphs(n - 1)
-        for code, child in _children(parent)
-        if _min_code_perm(child, own=code)[0] == code
-    ]
+        return [(0, Graph(1, (0,)), [] if automorphisms else None)]
+    children = []
+    for _, parent, autos in _generation(n - 1, automorphisms=True):
+        for code, child in _children(parent, autos):
+            ties: list[list[int]] | None = [] if automorphisms else None
+            if _min_code_perm(child, own=code, ties=ties)[0] == code:
+                children.append((code, child, ties))
     children.sort()
-    return tuple(child for _, child in children)
+    return children
 
 
 @lru_cache(maxsize=None)
@@ -96,13 +129,24 @@ def _reversed_columns(width: int) -> tuple[int, ...]:
     return tuple(int(f"{c:0{width}b}"[::-1], 2) for c in range(1 << width))
 
 
-def _children(parent: Graph) -> Iterator[tuple[int, Graph]]:
-    """The children of ``parent`` that pass the swap test, with their codes.
+def _children(parent: Graph, autos: list[list[int]]) -> Iterator[tuple[int, Graph]]:
+    """The children of ``parent`` that pass the filters, with their codes.
 
-    A child gives the new vertex n-1 a neighborhood among 0..n-2, and its
-    code is the parent's code followed by the new column.  The columns that
-    pass are those whose top n-2 bits are at least the parent's last
-    column, so they are counted over directly, not filtered.
+    A child gives the new vertex n-1 a neighborhood S among 0..n-2, and its
+    code is the parent's code followed by the new column, col(S).  A filter
+    skips S when some relabeling of the child gives a smaller code, so the
+    child is not canonical:
+
+    * the swap test: swapping vertices n-2 and n-1 keeps every column
+      before n-2 and puts col(S), less its last bit, at n-2.  The columns
+      whose top n-2 bits are at least the parent's last column pass, so
+      they are counted over directly, not filtered.
+    * the automorphism test: relabeling the child by an automorphism a of
+      the parent, with n-1 fixed, keeps the parent's code and makes the
+      last column col(a(S)), so S is skipped when col(a(S)) < col(S).  The
+      automorphisms are the maps i -> order[i] of the orders in ``autos``,
+      the tie leaves of the parent's own search, and the swaps of twins
+      u < v, which beat S exactly when u is in S and v is not.
     """
     n = parent.n + 1
     width = n - 1
@@ -111,10 +155,28 @@ def _children(parent: Graph) -> Iterator[tuple[int, Graph]]:
     last = parent_code & (new_bit >> 1) - 1
     base = parent_code << width
     reversed_columns = _reversed_columns(width)
+    opened, closed = _twin_groups(parent.adj)
+    twins = [c for c in (*opened.values(), *closed.values()) if c & c - 1]
+    images = [_images(order) for order in autos]
     for col in range(last << 1, new_bit):
         nbhd = reversed_columns[col]
+        # within a twin class, S must hold the highest members only
+        if any((t := nbhd & c) != c & -(t & -t) for c in twins):
+            continue
+        # col(a(S)) < col(S): the lowest vertex where a(S) and S differ is in S
+        if any((d := image[nbhd] ^ nbhd) & -d & nbhd for image in images):
+            continue
         rows = [row | new_bit if nbhd >> v & 1 else row for v, row in enumerate(parent.adj)]
         yield base | col, _unchecked_graph(n, (*rows, nbhd))
+
+
+def _images(order: list[int]) -> list[int]:
+    """_images(order)[S]: the image of vertex set S under v -> order[v]."""
+    images = [0]
+    for w in order:
+        bit = 1 << w
+        images += [image | bit for image in images]
+    return images
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
@@ -195,7 +257,9 @@ def _order_code(adj: tuple[int, ...], order: list[int]) -> int:
     return code
 
 
-def _min_code_perm(g: Graph, own: int | None = None) -> tuple[int, list[int]]:
+def _min_code_perm(
+    g: Graph, own: int | None = None, ties: list[list[int]] | None = None
+) -> tuple[int, list[int]]:
     """Minimal code over relabelings and a relabeling achieving it.
 
     Each maximum independent set starts the search as one placed cell of
@@ -214,6 +278,9 @@ def _min_code_perm(g: Graph, own: int | None = None) -> tuple[int, list[int]]:
     starts from g's own leading independent set, then from each maximum
     independent set.  A node whose prefix is already below ``own``'s ends
     it: any completion will do, and its code is computed from the order.
+    With ``ties`` as well, each leaf whose code equals ``own`` appends its
+    order to ``ties``.  Such an order relabels g onto itself, so the map
+    i -> order[i] is an automorphism of g.
     """
     n, adj = g.n, g.adj
     if n == 1:
@@ -260,6 +327,8 @@ def _min_code_perm(g: Graph, own: int | None = None) -> tuple[int, list[int]]:
                 best = prefix
                 best_order = [*_refined_order(cells, adj[w]), *placed, w]
                 return stop
+            if ties is not None and prefix == best:
+                ties.append([*_refined_order(cells, adj[cands[0]]), *placed, cands[0]])
             return False
         if stop and prefix < bound:
             # every completion is below own: take the first

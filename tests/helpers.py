@@ -45,6 +45,18 @@ def is_hamiltonian_cycle_of(g: Graph, seq) -> bool:
     )
 
 
+def is_automorphism_of(g: Graph, images) -> bool:
+    """``images`` maps g's vertices one to one onto themselves, and u, v are
+    adjacent exactly when images[u], images[v] are; read straight off g's
+    rows."""
+    n = g.n
+    return sorted(images) == list(range(n)) and all(
+        (g.adj[u] >> v & 1) == (g.adj[images[u]] >> images[v] & 1)
+        for u in range(n)
+        for v in range(n)
+    )
+
+
 def oracle_ham_path(g: Graph, u: int, v: int) -> bool:
     rest = [w for w in range(g.n) if w not in (u, v)]
     for perm in permutations(rest):

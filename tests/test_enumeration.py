@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     induced_subgraph,
+    is_automorphism_of,
     oracle_class_count,
     oracle_min_code,
     random_graph,
@@ -19,6 +20,7 @@ from nonham.classify import is_isomorphic
 from nonham.enumeration import (
     _canonical_graphs,
     _children,
+    _generation,
     _min_code_perm,
     apply_filters,
     canonical_form,
@@ -94,31 +96,75 @@ def test_generator_output_is_pinned():
         assert hashlib.sha256(lines.encode("ascii")).hexdigest() == digest, n
 
 
+def _check_children(parent, autos):
+    """Every child of ``parent``: the ones the filters skip have a smaller
+    code, and the ones they keep carry their code.  Returns how many are
+    kept."""
+    n = parent.n + 1
+    new_bit = 1 << (n - 1)
+    kept = {}
+    for code, child in _children(parent, autos):
+        assert code == _triangle_code(child)
+        assert induced_subgraph(child, range(n - 1)) == parent
+        kept[code] = child
+    searched = len(kept)
+    for nbhd in range(new_bit):
+        rows = [row | new_bit if nbhd >> v & 1 else row for v, row in enumerate(parent.adj)]
+        child = _unchecked_graph(n, (*rows, nbhd))
+        own = _triangle_code(child)
+        if own in kept:
+            assert kept.pop(own) == child
+        else:
+            assert _min_code_perm(child)[0] < own, child
+    assert not kept
+    return searched
+
+
 def test_swap_test_skips_only_noncanonical_children():
-    # every child of every canonical parent up to order 7: the ones the swap
-    # test skips have a smaller code, and the ones it keeps carry their code
+    # every child of every canonical parent up to order 7, and of a seeded
+    # sample of 150 parents of order 7, each parent with the automorphisms
+    # the generator hands it
     searched = {}
     for n in range(2, 8):
-        new_bit = 1 << (n - 1)
-        searched[n] = 0
-        for parent in _canonical_graphs(n - 1):
-            kept = {}
-            for code, child in _children(parent):
-                assert code == _triangle_code(child)
-                assert induced_subgraph(child, range(n - 1)) == parent
-                kept[code] = child
-            searched[n] += len(kept)
-            for nbhd in range(new_bit):
-                rows = [row | new_bit if nbhd >> v & 1 else row for v, row in enumerate(parent.adj)]
-                child = _unchecked_graph(n, (*rows, nbhd))
-                own = _triangle_code(child)
-                if own in kept:
-                    assert kept.pop(own) == child
-                else:
-                    assert _min_code_perm(child)[0] < own, child
-            assert not kept
-    # of the 156 * 2**6 = 9,984 children at order 7, this many are searched
-    assert searched[7] == 2682
+        searched[n] = sum(_check_children(p, autos) for _, p, autos in _generation(n - 1, True))
+    # of the 156 * 2**6 = 9,984 children at order 7, this many are searched;
+    # 2,682 with the swap test alone
+    assert searched[7] == 1311
+    parents = _generation(7, True)
+    for _, parent, autos in random.Random(28).sample(parents, 150):
+        _check_children(parent, autos)
+    # of the 1,044 * 2**7 = 133,632 children at order 8; 28,062 with the
+    # swap test alone
+    assert sum(sum(1 for _ in _children(p, autos)) for _, p, autos in parents) == 16088
+
+
+def test_tie_leaves_are_automorphisms():
+    for n in range(1, 8):
+        generation = _generation(n, True)
+        assert [g for _, g, _ in generation] == list(_canonical_graphs(n))
+        for code, g, autos in generation:
+            assert code == _triangle_code(g)
+            for order in autos:
+                assert is_automorphism_of(g, order), (g, order)
+
+
+def test_built_orders_hold_no_automorphisms():
+    # the cache keeps graphs only: once order 7 is built, no list of
+    # automorphisms of order 6 or 7 is left alive
+    code = (
+        "import gc\n"
+        "from nonham.enumeration import _canonical_graphs\n"
+        "def orders():\n"
+        "    gc.collect()\n"
+        "    return sum(1 for o in gc.get_objects() if type(o) is list and 6 <= len(o) <= 7\n"
+        "               and sorted(o) == list(range(len(o))))\n"
+        "before = orders()\n"
+        "_canonical_graphs(7)\n"
+        "print(before, orders())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 def test_import_leaves_numpy_out():
