@@ -15,8 +15,10 @@ alternates which side goes first.  Each side runs its own ``perfbench``
 against its own ``src``.  The script writes ``BENCH_<short-sha>.json`` at the
 repo root, named after the parent's short sha.  For each workload and
 end-to-end metric it gives every run's value, each side's median and
-quartiles, and the pairs the change won.  It also records the machine and
-the Python version.  With
+quartiles, and the pairs the change won.  It also records the machine, the
+Python version, and whether Python writes bytecode: when it does not (``-B``
+or ``PYTHONDONTWRITEBYTECODE``), every run compiles ``nonham`` again, as the
+fresh copies carry no ``__pycache__``, and ``setup_s`` includes that.  With
 ``--parent HEAD`` on a clean tree both sides run the same code (an A/A run).
 """
 
@@ -120,8 +122,11 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": PAIRS,
         "seconds": seconds,
         "seed": SEED,
+        # without bytecode written, each fresh copy compiles nonham anew,
+        # and setup_s includes that
         "machine": {"platform": platform.platform(), "machine": platform.machine(),
-                    "cpus": os.cpu_count()},
+                    "cpus": os.cpu_count(),
+                    "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
         "python": sys.version,
         "workloads": {},
     }

@@ -54,10 +54,18 @@ def _worker_count(text: str) -> int:
     return count
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says, else the
+    host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _default_workers() -> int:
     env = os.environ.get("NONHAM_WORKERS")
     if not env:
-        return os.cpu_count() or 1
+        return _usable_cpus()
     try:
         return _worker_count(env)
     except argparse.ArgumentTypeError as exc:

@@ -55,9 +55,9 @@ n = 8 16,088 of 133,632.  Larger orders come from external graph6 files.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import islice
-from typing import BinaryIO, Iterable, Iterator
+from functools import lru_cache, partial
+from itertools import chain, islice, starmap
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from nonham.graphs import (
     Graph,
@@ -437,26 +437,78 @@ def decode_graph6_lines(
 _BLOCK = 1024
 
 
-def _read_graph6(fh: BinaryIO, source: str) -> Iterator[Graph]:
-    """Lazily decode a binary graph6 stream, ``_BLOCK`` lines at a time, or
-    one when it is a terminal, so each typed line is answered at once.  A
-    block that ``graphs._decode_block`` declines goes line by line through
-    ``decode_graph6_lines``, which names a malformed line ``source:lineno:``.
-    """
-    size = 1 if fh.isatty() else _BLOCK
+def _blocks(fh: BinaryIO, size: int | None = None) -> Iterator[tuple[list[bytes], int]]:
+    """The lines of a binary stream, ``size`` at a time, each block with the
+    number of its first line.  By default a block is ``_BLOCK`` lines, or
+    one when the stream is a terminal, so each typed line is answered at
+    once."""
+    if size is None:
+        size = 1 if fh.isatty() else _BLOCK
     start = 1
     for block in iter(lambda: list(islice(fh, size)), []):
-        graphs = _decode_block(block)
-        if graphs is None:
-            graphs = decode_graph6_lines(block, source, start)
-        yield from graphs
+        yield block, start
         start += len(block)
 
 
-def stream_graph6(path: str) -> Iterator[Graph]:
-    """Lazily decode a graph6 file through ``_read_graph6``."""
+def _path_blocks(path: str, size: int | None = None) -> Iterator[tuple[list[bytes], int]]:
+    """``_blocks`` of the file at ``path``, opened on the first block."""
     with open(path, "rb") as fh:
-        yield from _read_graph6(fh, path)
+        yield from _blocks(fh, size)
+
+
+def _decode_lines(block: list[bytes], start: int, source: str) -> Iterable[Graph]:
+    """The graphs of a block of graph6 lines, the first counting as line
+    ``start``.  A block that ``graphs._decode_block`` declines goes line by
+    line through ``decode_graph6_lines``, which names a malformed line
+    ``source:lineno:``."""
+    graphs = _decode_block(block)
+    if graphs is None:
+        graphs = decode_graph6_lines(block, source, start)
+    return graphs
+
+
+class _Graph6Stream:
+    """The graphs of a binary graph6 stream, decoded lazily a block at a
+    time by ``_decode_lines``.
+
+    ``read(size)`` gives the stream's raw blocks (see ``_blocks``).  A
+    sharded sweep takes ``raw_blocks`` of a stream that has not been
+    iterated, and its workers decode them; iterating the stream itself
+    costs no more than a generator does, as ``__iter__`` hands out the
+    decoding iterator.
+    """
+
+    def __init__(self, read: Callable[..., Iterator[tuple[list[bytes], int]]], source: str):
+        self.source = source
+        self._read = read
+        self._graphs: Iterator[Graph] | None = None
+
+    def __iter__(self) -> Iterator[Graph]:
+        if self._graphs is None:
+            decode = partial(_decode_lines, source=self.source)
+            self._graphs = chain.from_iterable(starmap(decode, self._read()))
+        return self._graphs
+
+    def __next__(self) -> Graph:
+        return next(iter(self))
+
+    def raw_blocks(self, size: int) -> Iterator[tuple[list[bytes], int]] | None:
+        """The raw blocks of ``size`` lines, in place of the graphs, or None
+        once the stream has been iterated or its blocks taken."""
+        if self._graphs is not None:
+            return None
+        self._graphs = iter(())
+        return self._read(size)
+
+
+def _read_graph6(fh: BinaryIO, source: str) -> _Graph6Stream:
+    """Lazily decode an open binary graph6 stream."""
+    return _Graph6Stream(partial(_blocks, fh), source)
+
+
+def stream_graph6(path: str) -> Iterator[Graph]:
+    """Lazily decode a graph6 file, opened when the first graph is asked for."""
+    return _Graph6Stream(partial(_path_blocks, path), path)
 
 
 def apply_filters(

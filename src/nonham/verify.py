@@ -33,10 +33,17 @@ elapsed-time field) regardless of worker count.
 A sweep consumes its stream once and lazily; each graph is decoded once, by
 whoever produces the stream, and only the graphs that enter the report (the
 violations and witnesses) are encoded back to graph6.  One worker examines
-the caller's stream in place.  More workers receive it in chunks of
-``_CHUNK`` graphs, at most two chunks per worker in flight, so neither path
-holds the whole stream in memory; a stream that fits in one chunk runs in
-process.
+the caller's stream in place.  More workers receive it in tasks of
+``_CHUNK`` lines or graphs, at most two tasks per worker in flight, so
+neither path holds the whole stream in memory; a stream that fits in one
+task runs in process, and only a sweep of more tasks imports the process
+pool.  No ``Graph`` crosses the process boundary.  A graph6 stream from
+``stream_graph6`` or the stdin reader ships its raw lines, with the source
+name and the number of the first line, and the worker decodes them as the
+stream would, so a malformed line is named ``source:lineno:`` as at one
+worker.  Any other stream ships (n, adj) rows.  A task's result, the
+stripe's counts and the graph6 strings of its violations and witnesses,
+comes back to be merged.
 """
 
 from __future__ import annotations
@@ -44,16 +51,16 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from nonham.classify import _fits, _is_member, _template_set
 from nonham.counting import count_cliques
+from nonham.enumeration import _decode_lines, _Graph6Stream
 from nonham.families import Family
 from nonham.formulas import e_bound, edge_floor, falling_factorial, h_k, star_count_formula
-from nonham.graphs import Graph, graph6_encode, min_degree
+from nonham.graphs import Graph, _unchecked_graph, graph6_encode, min_degree
 from nonham.hamilton import is_hamiltonian, is_saturated
 
 
@@ -228,8 +235,9 @@ _RANGES = {
 }
 
 
-# Graphs per task on the sharded path; a shorter stream runs in process.
-_CHUNK = 512
+# Lines or graphs per task on the sharded path; a shorter stream runs in
+# process.
+_CHUNK = 2048
 
 
 def _cleared(g: Graph, above: tuple[tuple[int, int], ...]) -> int | None:
@@ -305,20 +313,48 @@ def _merge(parts: Iterable[dict]) -> dict:
     return merged
 
 
-def _sharded_parts(
-    op: str, params: dict, chunks: Iterable[list[Graph]], workers: int
-) -> Iterator[dict]:
-    """Stripe results of the chunks, at most ``2 * workers`` of them in flight.
+def _tasks(stream: Iterable[Graph]) -> Iterator[tuple[Callable, tuple]]:
+    """A sharded sweep's stream as tasks (decode, args) of ``_CHUNK`` lines
+    or graphs each, whose graphs are decode(*args).
 
-    ``pool.map`` would read every chunk up front, so each is submitted only
-    once a slot in the window is free.
+    No ``Graph`` is pickled.  A graph6 stream that has not been iterated
+    gives its raw lines, with its source name and first line number, which
+    ``enumeration._decode_lines`` decodes as the stream itself would; any
+    other stream gives (n, adj) rows, which ``graphs._unchecked_graph``
+    wraps.
     """
+    blocks = stream.raw_blocks(_CHUNK) if isinstance(stream, _Graph6Stream) else None
+    if blocks is not None:
+        for lines, start in blocks:
+            yield _decode_lines, (lines, start, stream.source)
+    else:
+        graphs = iter(stream)
+        for rows in iter(lambda: [(g.n, g.adj) for g in islice(graphs, _CHUNK)], []):
+            yield starmap, (_unchecked_graph, rows)
+
+
+def _run_task(op: str, params: dict, decode: Callable, args: tuple) -> dict:
+    """The stripe result of one task of ``_tasks``."""
+    return _run_stripe(op, params, decode(*args))
+
+
+def _sharded_parts(
+    op: str, params: dict, tasks: Iterable[tuple[Callable, tuple]], workers: int
+) -> Iterator[dict]:
+    """Stripe results of the tasks, at most ``2 * workers`` of them in flight.
+
+    ``pool.map`` would read every task up front, so each is submitted only
+    once a slot in the window is free.  The pool is imported here, so that
+    no other path pays for ``multiprocessing``.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         window = deque()
-        for chunk in chunks:
+        for decode, args in tasks:
             if len(window) == 2 * workers:
                 yield window.popleft().result()
-            window.append(pool.submit(_run_stripe, op, params, chunk))
+            window.append(pool.submit(_run_task, op, params, decode, args))
         while window:
             yield window.popleft().result()
 
@@ -330,13 +366,13 @@ def _run_op(
     if workers <= 1:
         merged = _run_stripe(op, params, stream)
     else:
-        graphs = iter(stream)
-        chunks = iter(lambda: list(islice(graphs, _CHUNK)), [])
-        first = next(chunks, [])
-        if len(first) < _CHUNK:
-            merged = _run_stripe(op, params, first)
+        tasks = _tasks(stream)
+        # a stream of at most one chunk runs in process
+        first = list(islice(tasks, 2))
+        if len(first) < 2:
+            merged = _merge(_run_task(op, params, *task) for task in first)
         else:
-            merged = _merge(_sharded_parts(op, params, chain([first], chunks), workers))
+            merged = _merge(_sharded_parts(op, params, chain(first, tasks), workers))
     violations = [
         {"graph6": code, "observed": observed, "bound": bound}
         for code, observed, bound in sorted(merged["violations"])

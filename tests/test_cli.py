@@ -1,10 +1,14 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from nonham import cli, counting
+from helpers import REPO_GRAPHS8
+from nonham import cli, counting, verify
 from nonham.cli import main
 from nonham.families import build_H
 from nonham.graphs import complete_graph, graph6_decode, graph6_encode
@@ -271,21 +275,68 @@ def test_external_file_verify(tmp_path):
 
 def test_verify_malformed_line_exits_2(tmp_path):
     # the stream is read lazily, so the bad line is met in the middle of the
-    # sweep; nothing reaches stdout and the message names the line
+    # sweep; nothing reaches stdout and the message names the line.  The
+    # order-8 file spans several chunks: at two workers its bad lines are
+    # met inside pool workers, and the first of them is named
     six = run_cli(["enum", "--n", "6"]).stdout.split()
-    text = "\n".join([six[0], six[1], "B", *six[2:]]) + "\n"
-    path = tmp_path / "bad.g6"
-    path.write_text(text, encoding="ascii")
-    for workers in ("1", "2"):
-        for source, stdin in ((str(path), ""), ("-", text)):
-            proc = run_cli([
-                "verify", "edge-bound", "--n", "6", "--d", "1",
-                "--in", source, "--workers", workers,
-            ], stdin=stdin)
-            assert proc.returncode == 2
-            assert proc.stdout == ""
-            name = "<stdin>" if source == "-" else str(path)
-            assert proc.stderr.startswith(f"nonham: {name}:3: ")
+    eight = Path(REPO_GRAPHS8).read_text(encoding="ascii").split()
+    eight[2999] = eight[6999] = "G"
+    cases = [
+        ("6", [six[0], six[1], "B", *six[2:]], 3),
+        ("8", eight, 3000),
+    ]
+    for n, lines, lineno in cases:
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "bad.g6"
+        path.write_text(text, encoding="ascii")
+        for workers in ("1", "2"):
+            for source, stdin in ((str(path), ""), ("-", text)):
+                proc = run_cli([
+                    "verify", "edge-bound", "--n", n, "--d", "1",
+                    "--in", source, "--workers", workers,
+                ], stdin=stdin)
+                assert proc.returncode == 2
+                assert proc.stdout == ""
+                name = "<stdin>" if source == "-" else str(path)
+                assert proc.stderr.startswith(f"nonham: {name}:{lineno}: ")
+
+
+def test_verify_reports_agree_over_files_stdin_and_worker_counts(tmp_path, monkeypatch, capsys):
+    # chunks that end at odd lines, blank lines that the block decoder
+    # declines, and stdin as well as a file: one report, bar elapsed_ms
+    lines = Path(REPO_GRAPHS8).read_text(encoding="ascii").split()
+    for at in (7000, 2500, 1):
+        lines.insert(at, "")
+    data = ("\n".join(lines) + "\n").encode("ascii")
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(data)
+    for args in (["edge-bound", "--d", "1"], ["stability", "--d", "1", "--k", "3"]):
+        reports = set()
+        for chunk in (999, 4097):
+            monkeypatch.setattr(verify, "_CHUNK", chunk)
+            for workers in ("1", "2", "4"):
+                for source in (str(path), "-"):
+                    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+                    argv = ["verify", *args, "--n", "8", "--in", source, "--workers", workers]
+                    assert main(argv) == 0
+                    out = capsys.readouterr().out
+                    reports.add("".join(
+                        line for line in out.splitlines(True) if '"elapsed_ms"' not in line
+                    ))
+        assert len(reports) == 1, args
+
+
+def test_default_workers_count_usable_cpus(monkeypatch):
+    # a process pinned to fewer CPUs than the host has starts no more
+    # workers than it may run
+    monkeypatch.delenv("NONHAM_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert cli._default_workers() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._default_workers() == 16
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._default_workers() == 1
 
 
 def test_non_ascii_line_is_named_on_both_input_paths(tmp_path):

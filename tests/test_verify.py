@@ -1,11 +1,13 @@
 import json
+import subprocess
+import sys
 from itertools import cycle, islice
 
 import pytest
 
 from nonham import verify
 from nonham.classify import is_isomorphic, spanning_subgraph_of
-from nonham.enumeration import enumerate_nonisomorphic
+from nonham.enumeration import enumerate_nonisomorphic, stream_graph6
 from nonham.families import build_H
 from nonham.formulas import d0, e_bound, h_k
 from nonham.graphs import graph6_decode, graph6_encode
@@ -434,16 +436,64 @@ def test_prior_stability_checks_template_witnesses(monkeypatch):
         classify_mod.classify(build_H(9, 2), 2)
 
 
-def test_order_mismatch_rejected():
+def test_order_mismatch_rejected(tmp_path):
     # one stray graph after more than a chunk of good ones, so at two workers
-    # the mismatch is found inside a pool worker
+    # the mismatch is found inside a pool worker, from a list and from a
+    # graph6 file alike
     six = list(islice(cycle(stream(6)), verify._CHUNK + 1))
     five = next(stream(5))
+    path = tmp_path / "mixed.g6"
+    path.write_text("".join(graph6_encode(g) + "\n" for g in [*six, five]), encoding="ascii")
     for workers in (1, 2):
         with pytest.raises(ValueError):
             verify_edge_bound(6, 1, stream(5), workers=workers)
         with pytest.raises(ValueError, match="order 5"):
             verify_edge_bound(6, 1, [*six, five], workers=workers)
+        with pytest.raises(ValueError, match="order 5"):
+            verify_edge_bound(6, 1, stream_graph6(str(path)), workers=workers)
+
+
+def test_sharded_sweep_of_a_started_graph6_stream(tmp_path, monkeypatch):
+    # a graph6 stream already iterated ships what is left of it as rows, not
+    # its raw lines from the start
+    path = tmp_path / "seven.g6"
+    path.write_text("".join(graph6_encode(g) + "\n" for g in stream(7)), encoding="ascii")
+    monkeypatch.setattr(verify, "_CHUNK", 100)
+    reports = []
+    for workers in (1, 2):
+        graphs = stream_graph6(str(path))
+        next(graphs)
+        report = verify_star_claim(7, 2, 3, graphs, workers=workers).to_json_dict()
+        report.pop("elapsed_ms")
+        reports.append(report)
+    assert reports[0]["extra"]["stream_total"] == 1043
+    assert reports[0] == reports[1]
+
+
+def test_only_a_sharded_sweep_imports_the_pool():
+    # in a fresh interpreter: neither the import, nor a sweep at one worker,
+    # nor a sweep whose stream fits in one chunk pays for multiprocessing
+    script = """
+import sys
+
+import nonham
+import nonham.cli
+from nonham import verify
+from nonham.enumeration import enumerate_nonisomorphic
+
+def pool():
+    return "concurrent.futures" in sys.modules
+
+assert not pool()
+verify.verify_edge_bound(6, 1, enumerate_nonisomorphic(6), workers=1)
+verify.verify_edge_bound(6, 1, enumerate_nonisomorphic(6), workers=2)
+assert not pool()
+verify._CHUNK = 50
+verify.verify_edge_bound(6, 1, enumerate_nonisomorphic(6), workers=2)
+assert pool()
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_order_mismatch_stops_the_stream():
