@@ -35,7 +35,15 @@ from itertools import combinations
 from math import comb, factorial
 
 from nonham.formulas import falling_factorial
-from nonham.graphs import _TABLE_MAX, Graph, _groups, _shape_table, _shapes_left, bits
+from nonham.graphs import (
+    _TABLE_MAX,
+    Graph,
+    _groups,
+    _shape_table,
+    _shapes_left,
+    _unchecked_graph,
+    bits,
+)
 
 
 def _pattern_order(f: Graph) -> list[int]:
@@ -133,9 +141,16 @@ def count_cliques(g: Graph, k: int) -> int:
     """
     if k < 1:
         raise ValueError("count_cliques needs k >= 1")
-    if 2 <= k <= g.n <= _TABLE_MAX:
-        return _shapes_left(_clique_table(g.n, k), g.adj).bit_count()
-    return _twin_clique_count(g, k)
+    return _clique_count(g.n, g.adj, k)
+
+
+def _clique_count(n: int, adj: tuple[int, ...], k: int) -> int:
+    """``count_cliques`` of the graph on n vertices with rows ``adj``, for
+    k >= 1, which the sweeps ask without building a ``Graph``: the table's
+    count at 2 <= k <= n <= 8, else the search on the rows wrapped in one."""
+    if 2 <= k <= n <= _TABLE_MAX:
+        return _shapes_left(_clique_table(n, k), adj).bit_count()
+    return _twin_clique_count(_unchecked_graph(n, adj), k)
 
 
 def _twin_clique_count(g: Graph, k: int) -> int:

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import chain, islice, starmap
+from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from nonham.graphs import (
@@ -456,26 +457,32 @@ def _path_blocks(path: str, size: int | None = None) -> Iterator[tuple[list[byte
         yield from _blocks(fh, size)
 
 
-def _decode_lines(block: list[bytes], start: int, source: str) -> Iterable[Graph]:
-    """The graphs of a block of graph6 lines, the first counting as line
-    ``start``.  A block that ``graphs._decode_block`` declines goes line by
-    line through ``decode_graph6_lines``, which names a malformed line
-    ``source:lineno:``."""
-    graphs = _decode_block(block)
-    if graphs is None:
-        graphs = decode_graph6_lines(block, source, start)
-    return graphs
+# a graph's (n, adj) row pair
+_order_and_rows = attrgetter("n", "adj")
+
+
+def _line_rows(
+    block: list[bytes], start: int, source: str
+) -> Iterable[tuple[int, tuple[int, ...]]]:
+    """The (n, adj) rows of a block of graph6 lines, the first counting as
+    line ``start``: the rows of ``graphs._decode_block``, or, for a block
+    that it declines, those of ``decode_graph6_lines``'s graphs, which names
+    a malformed line ``source:lineno:``."""
+    rows = _decode_block(block)
+    if rows is None:
+        rows = map(_order_and_rows, decode_graph6_lines(block, source, start))
+    return rows
 
 
 class _Graph6Stream:
     """The graphs of a binary graph6 stream, decoded lazily a block at a
-    time by ``_decode_lines``.
+    time by ``_line_rows``, whose rows it wraps.
 
     ``read(size)`` gives the stream's raw blocks (see ``_blocks``).  A
-    sharded sweep takes ``raw_blocks`` of a stream that has not been
-    iterated, and its workers decode them; iterating the stream itself
-    costs no more than a generator does, as ``__iter__`` hands out the
-    decoding iterator.
+    sweep takes ``raw_blocks`` of a stream that has not been iterated and
+    reads their rows with ``_line_rows``, in process or in its workers;
+    iterating the stream itself costs no more than a generator does, as
+    ``__iter__`` hands out the decoding iterator.
     """
 
     def __init__(self, read: Callable[..., Iterator[tuple[list[bytes], int]]], source: str):
@@ -485,16 +492,18 @@ class _Graph6Stream:
 
     def __iter__(self) -> Iterator[Graph]:
         if self._graphs is None:
-            decode = partial(_decode_lines, source=self.source)
-            self._graphs = chain.from_iterable(starmap(decode, self._read()))
+            decode = partial(_line_rows, source=self.source)
+            rows = chain.from_iterable(starmap(decode, self._read()))
+            self._graphs = starmap(_unchecked_graph, rows)
         return self._graphs
 
     def __next__(self) -> Graph:
         return next(iter(self))
 
-    def raw_blocks(self, size: int) -> Iterator[tuple[list[bytes], int]] | None:
-        """The raw blocks of ``size`` lines, in place of the graphs, or None
-        once the stream has been iterated or its blocks taken."""
+    def raw_blocks(self, size: int | None = None) -> Iterator[tuple[list[bytes], int]] | None:
+        """The raw blocks of ``size`` lines (by default, as ``_blocks``
+        cuts them), in place of the graphs, or None once the stream has
+        been iterated or its blocks taken."""
         if self._graphs is not None:
             return None
         self._graphs = iter(())

@@ -7,14 +7,16 @@ Vertex subsets are plain int bitmasks as well.
 graph6 decoding reads its payload through a table keyed by lane (the bit
 matrix's row width, 8, 16, 32 or 64): one lookup per payload character gives
 the lower-triangle bits that the character sets, and the rows follow from
-one transpose.  ``graph6_decode`` decodes one record this way and words
-every error.  ``_decode_block`` decodes a block of file lines at once when
+one transpose.  ``_graph6_rows`` decodes one record this way to its order
+and rows and words every error; ``graph6_decode`` wraps them in a
+``Graph``.  ``_decode_block`` decodes a block of file lines at once when
 every record in it has the same order and header bytes: a few whole-block
 passes validate it, one ``bytes.translate`` per (lower-triangle byte,
 payload column) pair builds that byte for every record, and one transpose
-of the block's packed int gives every record's rows.  A block that fails a
-check is left to ``graph6_decode``, line by line.  Each lane's tables are
-built on its first decode.
+of the block's packed int gives every record's rows.  It yields (n, adj)
+rows, not graphs, so that a sweep wraps only the graphs that pass its
+hypotheses.  A block that fails a check is left to ``graph6_decode``, line
+by line.  Each lane's tables are built on its first decode.
 
 ``_shape_table`` builds the bit-parallel tables of subgraphs of K_n that
 ``nonham.hamilton`` (hamiltonian cycles) and ``nonham.counting`` (k-cliques)
@@ -27,7 +29,8 @@ import re
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Iterator
 
 MAX_ORDER = 64
@@ -441,6 +444,12 @@ _outside_graph6_range = re.compile("[^?-\x7f]").search
 
 
 def graph6_decode(record: str | bytes) -> Graph:
+    return _unchecked_graph(*_graph6_rows(record))
+
+
+def _graph6_rows(record: str | bytes) -> tuple[int, tuple[int, ...]]:
+    """The order and adjacency rows of one graph6 record, which are
+    symmetric and loop-free by construction."""
     if isinstance(record, bytes):
         try:
             record = record.decode("ascii")
@@ -487,7 +496,7 @@ def graph6_decode(record: str | bytes) -> Graph:
     for (shift, row), c in zip(_decode_table(lane), data):
         lower |= row[c] << shift
     # a strict lower triangle plus its transpose: symmetric and loop-free
-    return _unchecked_graph(n, _unpack(lower | _transpose(lower, lane), n, lane))
+    return n, _unpack(lower | _transpose(lower, lane), n, lane)
 
 
 # The block tables of a lane, read off its decode table: one entry per pair
@@ -528,19 +537,19 @@ _BLOCK_BYTES = bytes(range(63, 128)) + b"\n"
 _ROW_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _decode_block(lines: list[bytes]) -> Iterator[Graph] | None:
-    """The graphs of a non-empty block of newline-terminated graph6 lines, or
-    None when a check fails, for ``graph6_decode`` to redo line by line and
-    word the error.
+def _decode_block(lines: list[bytes]) -> Iterator[tuple[int, tuple[int, ...]]] | None:
+    """The (n, adj) rows of a non-empty block of newline-terminated graph6
+    lines, one pair per line, or None when a check fails, for
+    ``graph6_decode`` to redo line by line and word the error.
 
     The first line must decode.  Every line must then have its length with
     a newline only at the end, and its header bytes; every payload byte must
     lie in 63..126 and every padding bit must be clear.  Each record then
-    decodes as the first does, to the graph that ``graph6_decode`` gives.
+    decodes as the first does, to the rows that ``_graph6_rows`` gives.
     """
     first = lines[0]
     try:
-        n = graph6_decode(first).n
+        n = _graph6_rows(first)[0]
     except Graph6Error:
         return None
     count, size, chars = len(lines), len(first), _payload_chars(n)
@@ -573,4 +582,4 @@ def _decode_block(lines: list[bytes]) -> Iterator[Graph] | None:
     rows = struct.iter_unpack(
         f"<{n}{_ROW_CODES[width]}{(lane - n) * width}x", full.to_bytes(count * matrix, "little")
     )
-    return map(partial(_unchecked_graph, n), rows)
+    return zip(repeat(n), rows)

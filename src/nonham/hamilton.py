@@ -3,8 +3,8 @@
 Every query is a cycle query.  G has a hamiltonian u-v path iff G + z has a
 hamiltonian cycle, where z is a new vertex joined to u and v only, and V(G)
 splits into at most t paths iff G + K_t has one, where the t new vertices
-are joined to each other and to every vertex of G.  ``is_hamiltonian`` at
-3 <= n <= 8 takes step 0 alone:
+are joined to each other and to every vertex of G.  ``is_hamiltonian``, and
+``_hamiltonian`` on rows for the sweeps, at 3 <= n <= 8 take step 0 alone:
 
 0. the cycle table (``_cycle_table``): G is hamiltonian exactly when some
    hamiltonian cycle of K_n avoids every nonedge of G.  There are (n - 1)!/2
@@ -411,16 +411,23 @@ def _search_cycle(g: Graph) -> tuple[int, ...] | None:
 
 
 def is_hamiltonian(g: Graph) -> bool:
-    """Exact hamiltonicity decision (False for n < 3).
+    """Exact hamiltonicity decision (False for n < 3); see ``_hamiltonian``."""
+    return _hamiltonian(g.n, g.adj)
+
+
+def _hamiltonian(n: int, adj: tuple[int, ...]) -> bool:
+    """``is_hamiltonian`` of the graph on n vertices with rows ``adj``, which
+    the sweeps ask without building a ``Graph``.
 
     At 3 <= n <= 8 one lookup per vertex in ``_cycle_table(n)`` gives the
-    cycles of K_n that use a nonedge of g, and g is hamiltonian when some
-    cycle is left.  Larger orders take the closure, then the screen and the
-    search; a graph the closure decides never reaches the search.
+    cycles of K_n that use a nonedge of the graph, and it is hamiltonian
+    when some cycle is left.  Larger orders wrap the rows in a ``Graph`` and
+    take the closure, then the screen and the search; a graph the closure
+    decides never reaches the search.
     """
-    n = g.n
     if 3 <= n <= _TABLE_MAX:
-        return _shapes_left(_cycle_table(n), g.adj) != 0
+        return _shapes_left(_cycle_table(n), adj) != 0
+    g = _unchecked_graph(n, adj)
     return _closure_complete(g) or _search_cycle(g) is not None
 
 

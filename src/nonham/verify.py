@@ -30,20 +30,28 @@ Reports are deterministic: violations and witnesses are canonically sorted by
 graph6 string, and sharded runs merge into byte-identical reports (modulo the
 elapsed-time field) regardless of worker count.
 
-A sweep consumes its stream once and lazily; each graph is decoded once, by
-whoever produces the stream, and only the graphs that enter the report (the
-violations and witnesses) are encoded back to graph6.  One worker examines
-the caller's stream in place.  More workers receive it in tasks of
-``_CHUNK`` lines or graphs, at most two tasks per worker in flight, so
-neither path holds the whole stream in memory; a stream that fits in one
-task runs in process, and only a sweep of more tasks imports the process
-pool.  No ``Graph`` crosses the process boundary.  A graph6 stream from
-``stream_graph6`` or the stdin reader ships its raw lines, with the source
-name and the number of the first line, and the worker decodes them as the
-stream would, so a malformed line is named ``source:lineno:`` as at one
-worker.  Any other stream ships (n, adj) rows.  A task's result, the
-stripe's counts and the graph6 strings of its violations and witnesses,
-comes back to be merged.
+A sweep consumes its stream once and lazily, as (n, adj) rows.  The gate's
+tests read the rows: the minimum degree and the edge floor directly, the
+K_k counts through ``counting._clique_count`` and hamiltonicity through
+``hamilton._hamiltonian``, the kernels of ``count_cliques`` and
+``is_hamiltonian``.  A row becomes a ``Graph`` only for a graph that
+reaches ``is_saturated`` or the examiner, and only the graphs that enter the
+report (the violations and witnesses) are encoded back to graph6.
+
+``_tasks`` is the one row source.  A graph6 stream from ``stream_graph6`` or
+the stdin reader that has not been iterated gives its raw lines, a block at
+a time, with the source name and the number of the first line;
+``enumeration._line_rows`` reads them with the block decoder, or line by
+line where it declines a block, so a malformed line is named
+``source:lineno:`` whoever decodes it.  Any other stream, such as the
+internal generator, a list, or a graph6 stream already started, gives its
+graphs' (n, adj).  One worker runs the gate over the caller's stream in
+place.  More workers receive it in tasks of ``_CHUNK`` lines or rows, at
+most two tasks per worker in flight, so neither path holds the whole stream
+in memory; a stream that fits in one task runs in process, and only a sweep
+of more tasks imports the process pool.  No ``Graph`` crosses the process
+boundary.  A task's result, the stripe's counts and the graph6 strings of
+its violations and witnesses, comes back to be merged.
 """
 
 from __future__ import annotations
@@ -52,16 +60,16 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, starmap
+from itertools import chain, combinations, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from nonham.classify import _fits, _is_member, _template_set
-from nonham.counting import count_cliques
-from nonham.enumeration import _decode_lines, _Graph6Stream
+from nonham.counting import _clique_count, count_cliques
+from nonham.enumeration import _Graph6Stream, _line_rows, _order_and_rows
 from nonham.families import Family
 from nonham.formulas import e_bound, edge_floor, falling_factorial, h_k, star_count_formula
 from nonham.graphs import Graph, _unchecked_graph, graph6_encode, min_degree
-from nonham.hamilton import is_hamiltonian, is_saturated
+from nonham.hamilton import _hamiltonian, is_saturated
 
 
 @dataclass
@@ -240,44 +248,56 @@ _RANGES = {
 _CHUNK = 2048
 
 
-def _cleared(g: Graph, above: tuple[tuple[int, int], ...]) -> int | None:
-    """The first of g's K_k counts past its threshold, or None."""
+def _cleared(n: int, adj: tuple[int, ...], above: tuple[tuple[int, int], ...]) -> int | None:
+    """The first of the graph's K_k counts past its threshold, or None."""
     for k, threshold in above:
-        count = count_cliques(g, k)
+        count = _clique_count(n, adj, k)
         if count > threshold:
             return count
     return None
 
 
-def _run_stripe(op: str, params: dict, graphs: Iterable[Graph]) -> dict:
+def _run_stripe(op: str, params: dict, rows: Iterable[tuple[int, tuple[int, ...]]]) -> dict:
+    """The stripe result of a stream of (n, adj) rows: its counts, and the
+    graph6 strings of its violations and witnesses.
+
+    The gate tests the hypotheses on the rows, cheapest first, and wraps
+    them in a ``Graph`` (``graphs._unchecked_graph``) only for a graph that
+    reaches ``is_saturated`` or the examiner.  A row of another order than
+    the sweep's stops the stripe where it is met.
+    """
     examine, above, saturated = _THEOREMS[op].examiner(**params)
     n, d = params["n"], params.get("d", 0)
-    floor = min((edge_floor(n, k, threshold) for k, threshold in above), default=0)
+    # the edge floor, as a degree sum
+    floor = 2 * min((edge_floor(n, k, threshold) for k, threshold in above), default=0)
     checked = 0
     total = 0
     violations: set[tuple[str, str, str]] = set()
     witnesses: set[str] = set()
     tallies: dict[str, int] = {}
-    for g in graphs:
-        if g.n != n:
-            raise ValueError(f"stream graph of order {g.n} in a sweep over order {n}")
+    for order, adj in rows:
+        if order != n:
+            raise ValueError(f"stream graph of order {order} in a sweep over order {n}")
         total += 1
         if d:  # the saturation lemmas alone have no d
-            delta = min_degree(g)
+            delta = min(map(int.bit_count, adj))
             if delta < d:
                 continue
         count = None
         if above:
-            if g.edge_count() < floor:
+            if sum(map(int.bit_count, adj)) < floor:
                 continue
-            count = _cleared(g, above)
+            count = _cleared(n, adj, above)
             if count is None:
                 continue
         if saturated:
+            g = _unchecked_graph(n, adj)
             if not is_saturated(g):
                 continue
-        elif delta > 1 and is_hamiltonian(g):
+        elif delta > 1 and _hamiltonian(n, adj):
             continue
+        else:
+            g = _unchecked_graph(n, adj)
         checked += 1
         ok, observed, bound, is_witness, tally = examine(g, count)
         for key, val in tally.items():
@@ -313,29 +333,35 @@ def _merge(parts: Iterable[dict]) -> dict:
     return merged
 
 
-def _tasks(stream: Iterable[Graph]) -> Iterator[tuple[Callable, tuple]]:
-    """A sharded sweep's stream as tasks (decode, args) of ``_CHUNK`` lines
-    or graphs each, whose graphs are decode(*args).
+def _tasks(stream: Iterable[Graph], size: int | None) -> Iterator[tuple[Callable, tuple]]:
+    """A sweep's stream as tasks (rows, args), whose (n, adj) rows are
+    rows(*args): the one row source of both the in-process stripe and the
+    workers.
 
-    No ``Graph`` is pickled.  A graph6 stream that has not been iterated
-    gives its raw lines, with its source name and first line number, which
-    ``enumeration._decode_lines`` decodes as the stream itself would; any
-    other stream gives (n, adj) rows, which ``graphs._unchecked_graph``
-    wraps.
+    A graph6 stream that has not been iterated gives its raw blocks of
+    ``size`` lines (or as its reader cuts them, when ``size`` is None),
+    with its source name and first line number, and
+    ``enumeration._line_rows`` reads their rows as the stream would decode
+    them.  Any other stream gives its graphs' (n, adj) rows: in lists of
+    ``size``, or all in one lazy task when ``size`` is None.  So no
+    ``Graph`` is pickled.
     """
-    blocks = stream.raw_blocks(_CHUNK) if isinstance(stream, _Graph6Stream) else None
+    blocks = stream.raw_blocks(size) if isinstance(stream, _Graph6Stream) else None
     if blocks is not None:
         for lines, start in blocks:
-            yield _decode_lines, (lines, start, stream.source)
-    else:
-        graphs = iter(stream)
-        for rows in iter(lambda: [(g.n, g.adj) for g in islice(graphs, _CHUNK)], []):
-            yield starmap, (_unchecked_graph, rows)
+            yield _line_rows, (lines, start, stream.source)
+        return
+    rows = map(_order_and_rows, stream)
+    if size is None:
+        yield iter, (rows,)
+        return
+    for chunk in iter(lambda: list(islice(rows, size)), []):
+        yield iter, (chunk,)
 
 
-def _run_task(op: str, params: dict, decode: Callable, args: tuple) -> dict:
+def _run_task(op: str, params: dict, rows: Callable, args: tuple) -> dict:
     """The stripe result of one task of ``_tasks``."""
-    return _run_stripe(op, params, decode(*args))
+    return _run_stripe(op, params, rows(*args))
 
 
 def _sharded_parts(
@@ -351,10 +377,10 @@ def _sharded_parts(
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         window = deque()
-        for decode, args in tasks:
+        for rows, args in tasks:
             if len(window) == 2 * workers:
                 yield window.popleft().result()
-            window.append(pool.submit(_run_task, op, params, decode, args))
+            window.append(pool.submit(_run_task, op, params, rows, args))
         while window:
             yield window.popleft().result()
 
@@ -364,9 +390,10 @@ def _run_op(
 ) -> VerificationReport:
     t0 = time.monotonic()
     if workers <= 1:
-        merged = _run_stripe(op, params, stream)
+        tasks = _tasks(stream, None)
+        merged = _run_stripe(op, params, chain.from_iterable(rows(*args) for rows, args in tasks))
     else:
-        tasks = _tasks(stream)
+        tasks = _tasks(stream, _CHUNK)
         # a stream of at most one chunk runs in process
         first = list(islice(tasks, 2))
         if len(first) < 2:

@@ -303,14 +303,33 @@ def test_verify_malformed_line_exits_2(tmp_path):
 
 def test_verify_reports_agree_over_files_stdin_and_worker_counts(tmp_path, monkeypatch, capsys):
     # chunks that end at odd lines, blank lines that the block decoder
-    # declines, and stdin as well as a file: one report, bar elapsed_ms
-    lines = Path(REPO_GRAPHS8).read_text(encoding="ascii").split()
+    # declines, and stdin as well as a file; through the library, a list of
+    # the corpus graphs and a graph6 stream started on one extra line ahead
+    # of the corpus: one report, bar elapsed_ms.  At n = 7 the internal
+    # generator and a graph6 file of its graphs give one report too
+    from nonham.enumeration import enumerate_nonisomorphic, stream_graph6
+
+    def without_elapsed(text):
+        return "".join(line for line in text.splitlines(True) if '"elapsed_ms"' not in line)
+
+    corpus = Path(REPO_GRAPHS8).read_text(encoding="ascii").split()
+    lines = corpus[:]
     for at in (7000, 2500, 1):
         lines.insert(at, "")
     data = ("\n".join(lines) + "\n").encode("ascii")
     path = tmp_path / "corpus.g6"
     path.write_bytes(data)
-    for args in (["edge-bound", "--d", "1"], ["stability", "--d", "1", "--k", "3"]):
+    ahead = tmp_path / "ahead.g6"
+    ahead.write_text("".join(line + "\n" for line in [corpus[-1], *corpus]), encoding="ascii")
+    graphs = list(stream_graph6(REPO_GRAPHS8))
+
+    def started():
+        stream = stream_graph6(str(ahead))
+        next(stream)
+        return stream
+
+    sweeps = [(["edge-bound", "--d", "1"], (1,)), (["stability", "--d", "1", "--k", "3"], (1, 3))]
+    for args, values in sweeps:
         reports = set()
         for chunk in (999, 4097):
             monkeypatch.setattr(verify, "_CHUNK", chunk)
@@ -319,10 +338,24 @@ def test_verify_reports_agree_over_files_stdin_and_worker_counts(tmp_path, monke
                     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
                     argv = ["verify", *args, "--n", "8", "--in", source, "--workers", workers]
                     assert main(argv) == 0
-                    out = capsys.readouterr().out
-                    reports.add("".join(
-                        line for line in out.splitlines(True) if '"elapsed_ms"' not in line
-                    ))
+                    reports.add(without_elapsed(capsys.readouterr().out))
+            for workers in (1, 2):
+                for stream in (graphs, started()):
+                    report = verify._sweep(args[0], 8, values, stream, workers)
+                    reports.add(without_elapsed(report.to_json() + "\n"))
+        assert len(reports) == 1, args
+    seven = tmp_path / "seven.g6"
+    seven.write_text(
+        "".join(graph6_encode(g) + "\n" for g in enumerate_nonisomorphic(7)), encoding="ascii"
+    )
+    # three tasks at two workers, so the pool runs
+    monkeypatch.setattr(verify, "_CHUNK", 500)
+    for args, values in sweeps:
+        reports = set()
+        for workers in (1, 2):
+            for stream in (enumerate_nonisomorphic(7), stream_graph6(str(seven))):
+                report = verify._sweep(args[0], 7, values, stream, workers)
+                reports.add(without_elapsed(report.to_json()))
         assert len(reports) == 1, args
 
 

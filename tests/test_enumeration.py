@@ -374,11 +374,11 @@ def test_stream_graph6_block_path_at_every_order(tmp_path, small_blocks):
         data = "".join(r + "\n" for r in records).encode("ascii")
         assert_stream_agrees(tmp_path, data)
         assert list(stream_graph6(str(tmp_path / "stream.g6"))) == graphs
-        # each full block takes the block path
+        # each full block takes the block path, which gives (n, adj) rows
         lines = data.splitlines(keepends=True)
         for at in range(0, 3 * small_blocks, small_blocks):
             block = _decode_block(lines[at : at + small_blocks])
-            assert list(block) == graphs[at : at + small_blocks]
+            assert list(block) == [(g.n, g.adj) for g in graphs[at : at + small_blocks]]
         # without the last newline
         assert_stream_agrees(tmp_path, data[:-1])
     # mixed orders, and the same length at different orders (3 and 4)

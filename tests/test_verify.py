@@ -195,7 +195,7 @@ def test_threshold_past_every_graph_skips_the_counts(monkeypatch):
     # at n=7, d=3 the h_k(7,5,2) = 26 threshold exceeds C(7,2) = 21, so the
     # edge floor turns every graph away before a clique count
     calls = []
-    monkeypatch.setattr(verify, "count_cliques", lambda g, k: calls.append(k) or 0)
+    monkeypatch.setattr(verify, "_clique_count", lambda n, adj, k: calls.append(k) or 0)
     report = verify_stability(7, 3, 2, stream(7))
     assert report.verified
     assert report.graphs_checked == 0
@@ -233,24 +233,25 @@ def test_gate_checks_exactly_the_graphs_meeting_every_hypothesis():
 
 
 def test_cheapest_hypothesis_first(monkeypatch):
-    # over the n=8 corpus the hamiltonicity search, or the saturation test,
+    # over the n=8 corpus the hamiltonicity decision, or the saturation test,
     # sees only graphs that cleared the minimum degree, the edge floor and
-    # the K_k threshold; a graph of minimum degree <= 1 needs no search
+    # the K_k threshold; a graph of minimum degree <= 1 needs no search.  The
+    # gate asks hamiltonicity of the rows, through hamilton._hamiltonian
     from helpers import REPO_GRAPHS8
     from nonham.enumeration import stream_graph6
-    from nonham.hamilton import is_hamiltonian, is_saturated
+    from nonham.hamilton import _hamiltonian, is_saturated
 
     calls = {"is_hamiltonian": 0, "is_saturated": 0}
 
-    def counting(kernel):
-        def wrapped(g):
-            calls[kernel.__name__] += 1
-            return kernel(g)
+    def counting(name, kernel):
+        def wrapped(*args):
+            calls[name] += 1
+            return kernel(*args)
 
         return wrapped
 
-    monkeypatch.setattr(verify, "is_hamiltonian", counting(is_hamiltonian))
-    monkeypatch.setattr(verify, "is_saturated", counting(is_saturated))
+    monkeypatch.setattr(verify, "_hamiltonian", counting("is_hamiltonian", _hamiltonian))
+    monkeypatch.setattr(verify, "is_saturated", counting("is_saturated", is_saturated))
     cases = [
         # (sweep, most is_hamiltonian calls, most is_saturated calls)
         (lambda s: verify_stability(8, 1, 2, s), 434, 0),
@@ -439,18 +440,67 @@ def test_prior_stability_checks_template_witnesses(monkeypatch):
 def test_order_mismatch_rejected(tmp_path):
     # one stray graph after more than a chunk of good ones, so at two workers
     # the mismatch is found inside a pool worker, from a list and from a
-    # graph6 file alike
+    # graph6 file alike; at one worker the gate meets it in the rows of the
+    # stream, as a row of a list's graph, in a block that the block decoder
+    # declines (mixed orders), and in a whole block of order 5 that it
+    # decodes after 1,024 lines of order 6.  The message is the same
+    from nonham.enumeration import _BLOCK
+
+    message = "^stream graph of order 5 in a sweep over order 6$"
     six = list(islice(cycle(stream(6)), verify._CHUNK + 1))
     five = next(stream(5))
     path = tmp_path / "mixed.g6"
     path.write_text("".join(graph6_encode(g) + "\n" for g in [*six, five]), encoding="ascii")
+    aligned = tmp_path / "aligned.g6"
+    aligned.write_text(
+        "".join(graph6_encode(g) + "\n" for g in [*six[:_BLOCK], five, five]), encoding="ascii"
+    )
     for workers in (1, 2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             verify_edge_bound(6, 1, stream(5), workers=workers)
-        with pytest.raises(ValueError, match="order 5"):
+        with pytest.raises(ValueError, match=message):
             verify_edge_bound(6, 1, [*six, five], workers=workers)
-        with pytest.raises(ValueError, match="order 5"):
+        with pytest.raises(ValueError, match=message):
+            verify_edge_bound(6, 1, [*six[:7], five, *six[7:]], workers=workers)
+        with pytest.raises(ValueError, match=message):
             verify_edge_bound(6, 1, stream_graph6(str(path)), workers=workers)
+        with pytest.raises(ValueError, match=message):
+            verify_edge_bound(6, 1, stream_graph6(str(aligned)), workers=workers)
+
+
+def test_a_sweep_wraps_a_graph_only_past_the_gate(monkeypatch):
+    # the gate reads the block decoder's rows: of the corpus, only the graphs
+    # that reach the examiner or is_saturated are wrapped in a Graph, counted
+    # in every module that wraps rows
+    import importlib
+
+    from helpers import REPO_GRAPHS8
+    from nonham import graphs
+    from nonham.hamilton import is_saturated
+
+    wrap = graphs._unchecked_graph
+    built = []
+
+    def counting_wrap(n, adj):
+        built.append(n)
+        return wrap(n, adj)
+
+    for name in ("graphs", "enumeration", "verify", "hamilton", "counting"):
+        module = importlib.import_module(f"nonham.{name}")
+        if hasattr(module, "_unchecked_graph"):
+            monkeypatch.setattr(module, "_unchecked_graph", counting_wrap)
+    asked = []
+    monkeypatch.setattr(verify, "is_saturated", lambda g: asked.append(g) or is_saturated(g))
+    for sweep in (
+        lambda s: verify_edge_bound(8, 2, s),
+        lambda s: verify_stability(8, 1, 3, s),
+    ):
+        built.clear()
+        asked.clear()
+        report = sweep(stream_graph6(REPO_GRAPHS8))
+        assert report.extra["stream_total"] == 12346
+        assert 0 < report.graphs_checked < 12346
+        assert len(built) <= report.graphs_checked + len(asked), (len(built), report.graphs_checked)
 
 
 def test_sharded_sweep_of_a_started_graph6_stream(tmp_path, monkeypatch):
