@@ -129,7 +129,7 @@ def _clique_table(n: int, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Every k-subset of K_n as one bit, in ``combinations`` order, as a
     ``_shape_table`` whose slots are all pairs of the subset.  Built on the
     first count at each (n, k)."""
-    return _shape_table(n, list(combinations(range(n), k)), list(combinations(range(k), 2)))
+    return _shape_table(n, zip(*combinations(range(n), k)), list(combinations(range(k), 2)))
 
 
 def count_cliques(g: Graph, k: int) -> int:

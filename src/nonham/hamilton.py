@@ -11,9 +11,12 @@ are joined to each other and to every vertex of G.  ``is_hamiltonian``, and
    such cycles, 2,520 at n = 8, one bit each, and a table per vertex u gives
    the cycles that use a nonedge from u to a vertex above it, so n - 1
    lookups and ORs decide G.  The tables are built on the first decision at
-   each order, column by column by ``graphs._shape_table``, which also
-   builds ``nonham.counting``'s clique tables; at n = 8 that takes about
-   3 ms (2-vCPU VM, Python 3.11) and holds about 90 KB.
+   each order, from byte columns by ``graphs._shape_table``, which also
+   builds ``nonham.counting``'s clique tables.  The n = 8 table holds about
+   90 KB.  Its build takes about 1.3 ms in a fresh process (as each
+   ``nonham verify`` pays it) and 0.5 ms warm; the n = 9 table, which no
+   decision reads yet, takes about 4.8 ms fresh and 3.2 ms warm
+   (``scripts/table_build_times.py``, 2-vCPU VM, Python 3.11).
 
 Larger orders, and every witness, take these steps in order, and the first
 that answers wins:
@@ -62,7 +65,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterator
 
 from nonham.graphs import (
@@ -339,10 +341,44 @@ def _cycle_table(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     It is a ``_shape_table`` whose slots are the n consecutive pairs of the
     sequence, so ``blocked[u][m]`` is the set of cycles that use some pair
     u, u + 1 + i with bit i of m set.  Built on the first call at each order:
-    at n = 8, 254 entries of up to 2,520 bits, about 90 KB, in about 3 ms.
+    at n = 8, 254 entries of up to 2,520 bits, about 90 KB, in about 1.3 ms
+    in a fresh process and 0.5 ms warm; at n = 9, 20,160 cycles in about
+    4.8 ms fresh and 3.2 ms warm (module docstring).
+
+    The sequences are never listed: their columns are built as byte
+    strings.  A block of width w holds one row per sequence as w columns of
+    equal length, end to end.  At step m, ``tails[r]`` is the block of the
+    permutations of range(m) whose last entry is at least r, in
+    lexicographic order, for r = 0..m.  Those that start with c are c
+    followed by a row of the previous step's ``tails[r - 1]`` if c < r, else
+    ``tails[r]``, relabelled above c by one ``bytes.translate``; ``stack``
+    lays such parts one after another, column by column.  After step n - 2,
+    the sequences p - 1 (each entry less 1) that start with c are c followed
+    by ``tails[c]`` relabelled above c, since p[-1] > p[0] is the relabelled
+    last entry's being at least c.
     """
-    tours = [(0, *p) for p in permutations(range(1, n)) if p[0] < p[-1]]
-    return _shape_table(n, tours, [(i, (i + 1) % n) for i in range(n)])
+    above = [bytes(range(c)) + bytes(range(c + 1, 256)) + b"\0" for c in range(n - 1)]
+
+    def stack(heads: list[tuple[int, bytes]], width: int) -> bytes:
+        """The rows c, then the rows of ``block``, for each (c, block) of
+        ``heads`` in turn: a block of width + 1 columns."""
+        sizes = [len(block) // width for _, block in heads]
+        pieces = [bytes([c]) * size for (c, _), size in zip(heads, sizes)]
+        for i in range(width):
+            pieces += [block[i * size : (i + 1) * size] for (_, block), size in zip(heads, sizes)]
+        return b"".join(pieces)
+
+    tails = [b"\0", b""]
+    for m in range(2, n - 1):
+        tails = [
+            stack([(c, tails[r - (c < r)].translate(above[c])) for c in range(m)], m - 1)
+            for r in range(m + 1)
+        ]
+    block = stack([(c, tails[c].translate(above[c])) for c in range(n - 1)], n - 2)
+    block = block.translate(above[0])
+    count = len(block) // (n - 1)
+    columns = [bytes(count)] + [block[i * count : (i + 1) * count] for i in range(n - 1)]
+    return _shape_table(n, columns, [(i, (i + 1) % n) for i in range(n)])
 
 
 def _closure_complete(g: Graph) -> bool:

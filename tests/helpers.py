@@ -97,20 +97,19 @@ def reference_check_rows(n: int, adj: tuple[int, ...]) -> None:
                 raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
 
-def reference_cycle_table(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``hamilton._cycle_table(n)`` as it was first built: one loop over the
-    tours (0, *p), p in permutation order with p[0] < p[-1], that sets each
-    tour's bit in the byte mask of every pair it uses."""
-    tours = [p for p in permutations(range(1, n)) if p[0] < p[-1]]
-    count = len(tours)
+def reference_shape_table(
+    n: int, shapes: list[tuple[int, ...]], slots: list[tuple[int, int]]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``graphs._shape_table`` by one loop over the shapes that sets each
+    shape's bit in the byte mask of every pair {s[i], s[j]}, (i, j) in
+    ``slots``, that it uses."""
+    count = len(shapes)
     uses = [[bytearray((count + 7) // 8) for _ in range(n)] for _ in range(n)]
-    for k, tour in enumerate(tours):
+    for k, shape in enumerate(shapes):
         byte, bit = k >> 3, 1 << (k & 7)
-        a = 0
-        for b in tour:
+        for i, j in slots:
+            a, b = shape[i], shape[j]
             uses[min(a, b)][max(a, b)][byte] |= bit
-            a = b
-        uses[0][a][byte] |= bit
     blocked = []
     for u in range(n - 1):
         table = [0]
@@ -119,6 +118,14 @@ def reference_cycle_table(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
             table += [m | pair for m in table]
         blocked.append(tuple(table))
     return (1 << count) - 1, tuple(blocked)
+
+
+def reference_cycle_table(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``hamilton._cycle_table(n)`` as it was first built: the tours (0, *p),
+    p in permutation order with p[0] < p[-1], each using the pairs of
+    consecutive vertices, last to first included."""
+    tours = [(0, *p) for p in permutations(range(1, n)) if p[0] < p[-1]]
+    return reference_shape_table(n, tours, [(i, (i + 1) % n) for i in range(n)])
 
 
 def oracle_labeled_embeddings(g: Graph, f: Graph) -> int:

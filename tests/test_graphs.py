@@ -2,6 +2,7 @@ import dataclasses
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -12,10 +13,12 @@ from helpers import (
     is_independent,
     random_graph,
     reference_check_rows,
+    reference_shape_table,
 )
 from nonham.graphs import (
     Graph,
     Graph6Error,
+    _shape_table,
     _unchecked_graph,
     add_edge,
     build_from_edges,
@@ -358,3 +361,36 @@ def test_unchecked_graph_is_the_checked_value():
             fast.n = 3
         with pytest.raises(dataclasses.FrozenInstanceError):
             fast.adj = ()
+
+
+def test_shape_table_equals_the_reference_build():
+    # seeded injective shapes of t vertices on K_n, n up to the byte-code
+    # limit 16, with counts on both sides of multiples of 8 and any nonempty
+    # set of slots; the columns are passed as bytes and as int tuples
+    rng = random.Random(31)
+    for n in range(3, 17):
+        for count in (1, 7, 8, 9, 63, 64, 65, rng.randrange(1, 201), rng.randrange(1, 201)):
+            t = rng.randrange(2, n + 1)
+            shapes = [tuple(rng.sample(range(n), t)) for _ in range(count)]
+            every = list(combinations(range(t), 2))
+            slots = rng.sample(every, rng.randrange(1, len(every) + 1))
+            want = reference_shape_table(n, shapes, slots)
+            assert _shape_table(n, [bytes(col) for col in zip(*shapes)], slots) == want, (n, count)
+            assert _shape_table(n, zip(*shapes), slots) == want, (n, count)
+
+
+def test_clique_tables_equal_the_reference_build():
+    from nonham.counting import _clique_table
+
+    for n in range(2, 9):
+        for k in range(2, n + 1):
+            shapes = list(combinations(range(n), k))
+            want = reference_shape_table(n, shapes, list(combinations(range(k), 2)))
+            assert _clique_table(n, k) == want, (n, k)
+
+
+def test_shape_table_refuses_orders_past_a_byte_code():
+    # a code a*n + b fits a byte only while n*n <= 256
+    assert _shape_table(16, [b"\x0f", b"\x0e"], [(0, 1)])[0] == 1
+    with pytest.raises(ValueError, match="outside 1..16"):
+        _shape_table(17, [b"\x10", b"\x0f"], [(0, 1)])
