@@ -23,9 +23,9 @@ by line.  Each lane's tables are built on its first decode.
 read at orders up to ``_TABLE_MAX``.  It reads its shapes as byte columns,
 one per shape position, and builds each pair's mask of shapes with
 ``bytes.translate`` and the decoder's block transpose, so that it makes no
-Python object per shape: the 2,520-cycle table of n = 8 in about 1.3 ms in
-a fresh process, 0.5 ms warm.  A pair's code a*n + b must fit a byte, so
-the builder takes orders up to 16.
+Python object per shape: with its columns, the 2,520-cycle table of n = 8
+takes about 0.8 ms in a fresh process, 0.25 ms warm.  A pair's code a*n + b
+must fit a byte, so the builder takes orders up to 16.
 """
 
 from __future__ import annotations

@@ -11,11 +11,13 @@ are joined to each other and to every vertex of G.  ``is_hamiltonian``, and
    such cycles, 2,520 at n = 8, one bit each, and a table per vertex u gives
    the cycles that use a nonedge from u to a vertex above it, so n - 1
    lookups and ORs decide G.  The tables are built on the first decision at
-   each order, from byte columns by ``graphs._shape_table``, which also
-   builds ``nonham.counting``'s clique tables.  The n = 8 table holds about
-   90 KB.  Its build takes about 1.3 ms in a fresh process (as each
-   ``nonham verify`` pays it) and 0.5 ms warm; the n = 9 table, which no
-   decision reads yet, takes about 4.8 ms fresh and 3.2 ms warm
+   each order: the tours of K_n are those of K_{n-1} with vertex n - 1 put
+   after each of their vertices in turn, grown as byte columns, and
+   ``graphs._shape_table``, which also builds ``nonham.counting``'s clique
+   tables, turns the columns into masks.  The n = 8 table holds about
+   90 KB.  Its build takes about 0.8 ms in a fresh process (as each
+   ``nonham verify`` pays it) and 0.25 ms warm; the n = 9 table, which no
+   decision reads yet, takes about 3.6 ms fresh and 2.5 ms warm
    (``scripts/table_build_times.py``, 2-vCPU VM, Python 3.11).
 
 Larger orders, and every witness, take these steps in order, and the first
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from nonham.graphs import (
     _TABLE_MAX,
@@ -101,7 +103,7 @@ class PathPartition:
     paths: tuple[tuple[int, ...], ...]
 
 
-def _component(adj: tuple[int, ...], seed: int, within: int) -> int:
+def _component(adj: Sequence[int], seed: int, within: int) -> int:
     """The vertices reachable from the mask ``seed`` through the mask ``within``."""
     comp = frontier = seed
     while frontier:
@@ -154,26 +156,16 @@ def _forced_edge_scan(g: Graph) -> tuple[int, ...] | bool:
         return True
     if any(f.bit_count() > 2 for f in forced):
         return False
+    full = (1 << n) - 1
     seen = 0
     for start in range(n):
         if forced[start] == 0 or seen >> start & 1:
             continue
-        comp = []
-        frontier = 1 << start
-        compmask = frontier
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                comp.append(v)
-                nxt |= forced[v]
-            frontier = nxt & ~compmask
-            compmask |= frontier
-        seen |= compmask
-        edge_ends = sum(forced[v].bit_count() for v in comp)
-        if edge_ends == 2 * len(comp):
-            if len(comp) < n:
-                return False
-            return _walk_cycle(forced)
+        comp = _component(forced, 1 << start, full)
+        seen |= comp
+        # a forced component closes a cycle when each of its vertices has two forced edges
+        if all(forced[v].bit_count() == 2 for v in bits(comp)):
+            return _walk_cycle(forced) if comp == full else False
     return True
 
 
@@ -336,48 +328,23 @@ def _extend_path(
 def _cycle_table(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Every hamiltonian cycle of K_n as one bit, for step 0 of the decision.
 
-    Cycle k is the k-th sequence 0, p[0], ..., p[-1] with p[0] < p[-1], for p
-    in ``permutations(range(1, n))`` order: (n - 1)!/2 cycles, 2,520 at n = 8.
-    It is a ``_shape_table`` whose slots are the n consecutive pairs of the
-    sequence, so ``blocked[u][m]`` is the set of cycles that use some pair
-    u, u + 1 + i with bit i of m set.  Built on the first call at each order:
-    at n = 8, 254 entries of up to 2,520 bits, about 90 KB, in about 1.3 ms
-    in a fresh process and 0.5 ms warm; at n = 9, 20,160 cycles in about
-    4.8 ms fresh and 3.2 ms warm (module docstring).
-
-    The sequences are never listed: their columns are built as byte
-    strings.  A block of width w holds one row per sequence as w columns of
-    equal length, end to end.  At step m, ``tails[r]`` is the block of the
-    permutations of range(m) whose last entry is at least r, in
-    lexicographic order, for r = 0..m.  Those that start with c are c
-    followed by a row of the previous step's ``tails[r - 1]`` if c < r, else
-    ``tails[r]``, relabelled above c by one ``bytes.translate``; ``stack``
-    lays such parts one after another, column by column.  After step n - 2,
-    the sequences p - 1 (each entry less 1) that start with c are c followed
-    by ``tails[c]`` relabelled above c, since p[-1] > p[0] is the relabelled
-    last entry's being at least c.
+    Removing vertex m from a cycle of K_{m+1} and joining its two neighbors
+    gives a cycle of K_m and the edge of it that m sat on, so the tours of
+    K_{m+1}, written from vertex 0, are the tours of K_m with m put after
+    each of their m vertices in turn, and each cycle appears once:
+    (n - 1)!/2 tours, 2,520 at n = 8.  They are grown as byte columns (byte k
+    of column i is tour k's i-th vertex) from the one tour 0, 1, 2 of K_3.
+    The table is a ``_shape_table`` whose slots are the n consecutive pairs
+    of a tour, so ``blocked[u][s]`` is the set of cycles that use some pair
+    u, u + 1 + i with bit i of s set.  Built on the first call at each order:
+    at n = 8, 254 entries of up to 2,520 bits, about 90 KB (the module
+    docstring gives the build times).
     """
-    above = [bytes(range(c)) + bytes(range(c + 1, 256)) + b"\0" for c in range(n - 1)]
-
-    def stack(heads: list[tuple[int, bytes]], width: int) -> bytes:
-        """The rows c, then the rows of ``block``, for each (c, block) of
-        ``heads`` in turn: a block of width + 1 columns."""
-        sizes = [len(block) // width for _, block in heads]
-        pieces = [bytes([c]) * size for (c, _), size in zip(heads, sizes)]
-        for i in range(width):
-            pieces += [block[i * size : (i + 1) * size] for (_, block), size in zip(heads, sizes)]
-        return b"".join(pieces)
-
-    tails = [b"\0", b""]
-    for m in range(2, n - 1):
-        tails = [
-            stack([(c, tails[r - (c < r)].translate(above[c])) for c in range(m)], m - 1)
-            for r in range(m + 1)
-        ]
-    block = stack([(c, tails[c].translate(above[c])) for c in range(n - 1)], n - 2)
-    block = block.translate(above[0])
-    count = len(block) // (n - 1)
-    columns = [bytes(count)] + [block[i * count : (i + 1) * count] for i in range(n - 1)]
+    columns = [b"\0", b"\1", b"\2"]
+    for m in range(3, n):
+        new = bytes([m]) * len(columns[0])
+        grown = [columns[:j] + [new] + columns[j:] for j in range(1, m + 1)]
+        columns = [b"".join(col) for col in zip(*grown)]
     return _shape_table(n, columns, [(i, (i + 1) % n) for i in range(n)])
 
 

@@ -120,12 +120,21 @@ def reference_shape_table(
     return (1 << count) - 1, tuple(blocked)
 
 
+def reference_tours(n: int) -> list[tuple[int, ...]]:
+    """The tours of K_n in ``hamilton._cycle_table``'s bit order, as tuples:
+    from the tour 0, 1, 2 of K_3, each step puts the next vertex m after
+    position j of every tour, for j = 1..m in turn."""
+    tours = [(0, 1, 2)]
+    for m in range(3, n):
+        tours = [t[:j] + (m,) + t[j:] for j in range(1, m + 1) for t in tours]
+    return tours
+
+
 def reference_cycle_table(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``hamilton._cycle_table(n)`` as it was first built: the tours (0, *p),
-    p in permutation order with p[0] < p[-1], each using the pairs of
-    consecutive vertices, last to first included."""
-    tours = [(0, *p) for p in permutations(range(1, n)) if p[0] < p[-1]]
-    return reference_shape_table(n, tours, [(i, (i + 1) % n) for i in range(n)])
+    """``hamilton._cycle_table(n)`` by one loop over ``reference_tours(n)``,
+    each tour using the pairs of consecutive vertices, last to first
+    included."""
+    return reference_shape_table(n, reference_tours(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def oracle_labeled_embeddings(g: Graph, f: Graph) -> int:

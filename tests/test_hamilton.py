@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from helpers import (
     oracle_is_hamiltonian,
     random_graph,
     reference_cycle_table,
+    reference_tours,
     validate_path_partition,
 )
 from nonham import hamilton
@@ -343,13 +345,12 @@ def test_cycle_table_matches_subset_dp():
 
 
 def test_cycle_table_bits_decode_to_cycles_of_the_graph():
-    # cycle k is the k-th sequence (0, *p) with p[0] < p[-1] in permutation
-    # order; the lowest surviving bit of each hamiltonian corpus graph must
-    # name one of its hamiltonian cycles
+    # cycle k is the k-th tour of reference_tours; the lowest surviving bit
+    # of each hamiltonian corpus graph must name one of its hamiltonian cycles
     from helpers import REPO_GRAPHS8
     from nonham.enumeration import stream_graph6
 
-    tours = [(0, *p) for p in permutations(range(1, 8)) if p[0] < p[-1]]
+    tours = reference_tours(8)
     cycles, blocked = _cycle_table(8)
     assert cycles == (1 << 2520) - 1 and len(tours) == 2520
     assert [len(table) for table in blocked] == [1 << (7 - u) for u in range(7)]
@@ -361,6 +362,19 @@ def test_cycle_table_bits_decode_to_cycles_of_the_graph():
             tour = tours[(left & -left).bit_length() - 1]
             assert is_hamiltonian_cycle_of(g, tour), (g, tour)
     assert checked == 6196
+
+
+def test_reference_tours_are_the_hamiltonian_cycles_of_k_n():
+    # against the cycles (0, *p) with p[0] < p[-1] of permutations, which owe
+    # nothing to the insertion
+    def edges(tour):
+        return frozenset(frozenset((a, b)) for a, b in zip(tour, tour[1:] + tour[:1]))
+
+    for n in range(3, 10):
+        tours = [edges(t) for t in reference_tours(n)]
+        cycles = {edges((0, *p)) for p in permutations(range(1, n)) if p[0] < p[-1]}
+        assert len(tours) == len(cycles) == math.factorial(n - 1) // 2, n
+        assert set(tours) == cycles, n
 
 
 def test_cycle_table_equals_the_reference_build():
