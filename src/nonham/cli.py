@@ -208,8 +208,13 @@ def _cmd_verify(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
+    # how many graphs of the stream passed the gate; none passing makes a
+    # "verified" vacuous
+    checked = f"{report.graphs_checked} of {report.extra['stream_total']} checked"
+    if not report.graphs_checked:
+        checked += " (vacuous: no graph passed the gate)"
     print(
-        f"{kind}: {report.graphs_checked} checked, "
+        f"{kind}: {checked}, "
         f"{len(report.violations)} violations, {workers} workers, "
         f"{report.elapsed_ms} ms",
         file=sys.stderr,

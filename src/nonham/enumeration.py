@@ -56,7 +56,7 @@ n = 8 16,088 of 133,632.  Larger orders come from external graph6 files.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import chain, islice, starmap
+from itertools import chain, islice, repeat, starmap
 from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -64,6 +64,7 @@ from nonham.graphs import (
     Graph,
     Graph6Error,
     _decode_block,
+    _row_parts,
     _triangle_code,
     _twin_groups,
     _unchecked_graph,
@@ -461,26 +462,27 @@ def _path_blocks(path: str, size: int | None = None) -> Iterator[tuple[list[byte
 _order_and_rows = attrgetter("n", "adj")
 
 
-def _line_rows(
-    block: list[bytes], start: int, source: str
-) -> Iterable[tuple[int, tuple[int, ...]]]:
-    """The (n, adj) rows of a block of graph6 lines, the first counting as
-    line ``start``: the rows of ``graphs._decode_block``, or, for a block
-    that it declines, those of ``decode_graph6_lines``'s graphs, which names
-    a malformed line ``source:lineno:``."""
-    rows = _decode_block(block)
-    if rows is None:
-        rows = map(_order_and_rows, decode_graph6_lines(block, source, start))
-    return rows
+def _line_parts(
+    block: list[bytes], start: int, source: str, d: int = 0
+) -> Iterable[tuple[int, int, bool, Iterable[tuple[int, ...]]]]:
+    """The parts of a block of graph6 lines, the first counting as line
+    ``start``, with minimum degree ``d`` (see ``graphs._decode_block``):
+    the block decoder's, or, for a block that it declines, one per graph
+    of ``decode_graph6_lines``, which names a malformed line
+    ``source:lineno:``, gated by ``graphs._row_parts``."""
+    parts = _decode_block(block, d)
+    if parts is None:
+        parts = _row_parts(map(_order_and_rows, decode_graph6_lines(block, source, start)), d)
+    return parts
 
 
 class _Graph6Stream:
     """The graphs of a binary graph6 stream, decoded lazily a block at a
-    time by ``_line_rows``, whose rows it wraps.
+    time by ``_line_parts``, whose rows it wraps.
 
     ``read(size)`` gives the stream's raw blocks (see ``_blocks``).  A
     sweep takes ``raw_blocks`` of a stream that has not been iterated and
-    reads their rows with ``_line_rows``, in process or in its workers;
+    reads their parts with ``_line_parts``, in process or in its workers;
     iterating the stream itself costs no more than a generator does, as
     ``__iter__`` hands out the decoding iterator.
     """
@@ -492,8 +494,9 @@ class _Graph6Stream:
 
     def __iter__(self) -> Iterator[Graph]:
         if self._graphs is None:
-            decode = partial(_line_rows, source=self.source)
-            rows = chain.from_iterable(starmap(decode, self._read()))
+            decode = partial(_line_parts, source=self.source)
+            parts = chain.from_iterable(starmap(decode, self._read()))
+            rows = chain.from_iterable(zip(repeat(n), kept) for n, _, _, kept in parts)
             self._graphs = starmap(_unchecked_graph, rows)
         return self._graphs
 

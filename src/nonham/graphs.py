@@ -13,10 +13,16 @@ and rows and words every error; ``graph6_decode`` wraps them in a
 every record in it has the same order and header bytes: a few whole-block
 passes validate it, one ``bytes.translate`` per (lower-triangle byte,
 payload column) pair builds that byte for every record, and one transpose
-of the block's packed int gives every record's rows.  It yields (n, adj)
+of the block's packed int gives every record's rows.  It gives adjacency
 rows, not graphs, so that a sweep wraps only the graphs that pass its
-hypotheses.  A block that fails a check is left to ``graph6_decode``, line
-by line.  Each lane's tables are built on its first decode.
+hypotheses, and it decides the first of them, minimum degree at least d,
+for the whole block from the bytes of the rows: a popcount translate, a
+sum of each row's bytes to its degree and of each matrix's rows to one
+selector byte, so that ``itertools.compress`` keeps the rows and no row
+below the bound reaches Python code.  ``_row_parts`` makes the same test
+row by row, for the line-by-line fallback and for streams of ``Graph``s.
+A block that fails a check is left to ``graph6_decode``, line by line.
+Each lane's tables, and the degree test's, are built on first use.
 
 ``_shape_table`` builds the bit-parallel tables of subgraphs of K_n that
 ``nonham.hamilton`` (hamiltonian cycles) and ``nonham.counting`` (k-cliques)
@@ -35,7 +41,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 64
@@ -85,7 +91,8 @@ class Graph:
         if min(adj) >= 0 and max(adj) < 1 << n:
             lane = _lane(n)
             m = _pack(adj, lane)
-            if not m & _lane_masks(lane)[0] and _transpose(m, lane) == m:
+            diag, swaps = _lane_masks(lane)
+            if not m & diag and _transpose(m, swaps) == m:
                 return
         _explain_bad_rows(n, adj)
 
@@ -208,17 +215,31 @@ def _block_masks(lane: int, count: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _transpose(m: int, lane: int, count: int = 1) -> int:
-    """Transpose each of ``count`` lane x lane bit matrices packed end to end.
+# the most matrices whose swaps stay cached: a decoded block holds at most
+# 2,048 records, a sharded sweep's task
+_CACHED_MATRICES = 2048
 
-    A block's masks are cached for ``count`` rounded up to a power of two:
-    their high copies meet only zero bits, and an AND of nonnegative ints
-    is as long as the shorter one, so they cost nothing.
+
+def _block_swaps(lane: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The swaps that transpose ``count`` lane x lane bit matrices packed
+    end to end.
+
+    The masks are made for ``count`` rounded up to a power of two: their
+    high copies meet only zero bits, and an AND of nonnegative ints is as
+    long as the shorter one, so they cost nothing.  They are cached up to
+    ``_CACHED_MATRICES``, so the decoder's blocks reuse them, while a larger
+    count, such as that of the cycle table of order 9 or 10, is made for its
+    one caller and dropped.
     """
-    if count == 1:
-        swaps = _lane_masks(lane)[1]
-    else:
-        swaps = _block_masks(lane, 1 << (count - 1).bit_length())
+    count = 1 << (count - 1).bit_length()
+    if count > _CACHED_MATRICES:
+        return _block_masks.__wrapped__(lane, count)
+    return _block_masks(lane, count)
+
+
+def _transpose(m: int, swaps: tuple[tuple[int, int], ...]) -> int:
+    """Transpose each bit matrix of ``m`` by the delta swaps of
+    ``_lane_masks`` (one matrix) or ``_block_swaps`` (a block of them)."""
     for shift, mask in swaps:
         t = (m ^ m >> shift) & mask
         m ^= t | t << shift
@@ -293,6 +314,7 @@ def _shape_table(
     blocks = (count + 7) // 8
     size = 8 * blocks
     codes = [(cols[i] * n + cols[j]).to_bytes(size, "little") for i, j in slots]
+    swaps = _block_swaps(8, blocks)
     pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n)]
     masks = []
     for start in range(0, len(pairs), 8):
@@ -303,7 +325,7 @@ def _shape_table(
         plane = 0
         for slot in codes:
             plane |= int.from_bytes(slot.translate(bit_of), "little")
-        flat = _transpose(plane, 8, blocks).to_bytes(size, "little")
+        flat = _transpose(plane, swaps).to_bytes(size, "little")
         masks += [int.from_bytes(flat[t::8], "little") for t in range(len(plane_pairs))]
     pair_masks = iter(masks)
     blocked = []
@@ -521,7 +543,7 @@ def _graph6_rows(record: str | bytes) -> tuple[int, tuple[int, ...]]:
     for (shift, row), c in zip(_decode_table(lane), data):
         lower |= row[c] << shift
     # a strict lower triangle plus its transpose: symmetric and loop-free
-    return n, _unpack(lower | _transpose(lower, lane), n, lane)
+    return n, _unpack(lower | _transpose(lower, _lane_masks(lane)[1]), n, lane)
 
 
 # The block tables of a lane, read off its decode table: one entry per pair
@@ -562,15 +584,61 @@ _BLOCK_BYTES = bytes(range(63, 128)) + b"\n"
 _ROW_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _decode_block(lines: list[bytes]) -> Iterator[tuple[int, tuple[int, ...]]] | None:
-    """The (n, adj) rows of a non-empty block of newline-terminated graph6
-    lines, one pair per line, or None when a check fails, for
-    ``graph6_decode`` to redo line by line and word the error.
+@lru_cache(maxsize=None)
+def _popcounts() -> bytes:
+    """The translate table from a byte to its number of set bits."""
+    return bytes(b.bit_count() for b in range(256))
+
+
+@lru_cache(maxsize=None)
+def _byte_range(low: int, high: int) -> bytes:
+    """The translate table from a byte in low..high-1 to 1, and any other to 0."""
+    return bytes(low <= b < high for b in range(256))
+
+
+def _sums(data: bytes, width: int) -> bytes:
+    """The sum of each group of ``width`` bytes of ``data``, one byte a
+    group, for sums below 256: the groups' j-th bytes, read as one int for
+    each j, add with no carry."""
+    if width == 1:
+        return data
+    total = sum(int.from_bytes(data[j::width], "little") for j in range(width))
+    return total.to_bytes(len(data) // width, "little")
+
+
+def _min_degree_at_least(degrees: bytes, d: int, n: int, lane: int) -> bytes:
+    """One byte per bit matrix of ``degrees`` (a byte per row, ``lane``
+    rows a matrix): 1 when each of its first n rows has degree at least
+    d >= 1, else 0.  A padding row has degree 0, below d, so a matrix
+    passes when its rows below d are exactly its lane - n padding rows."""
+    below = _sums(degrees.translate(_byte_range(0, d)), lane)
+    return below.translate(_byte_range(lane - n, lane - n + 1))
+
+
+def _decode_block(
+    lines: list[bytes], d: int = 0
+) -> list[tuple[int, int, bool, Iterable[tuple[int, ...]]]] | None:
+    """The parts of a non-empty block of newline-terminated graph6 lines,
+    or None when a check fails, for ``graph6_decode`` to redo line by line
+    and word the error.
 
     The first line must decode.  Every line must then have its length with
     a newline only at the end, and its header bytes; every payload byte must
     lie in 63..126 and every padding bit must be clear.  Each record then
     decodes as the first does, to the rows that ``_graph6_rows`` gives.
+
+    A part (n, records, search, rows) holds, in stream order, the rows of
+    the block's order-n records whose minimum degree is at least ``d``.
+    ``records`` counts the block's records once over its parts, whether
+    or not they pass.  ``search`` is False only for a part whose graphs
+    all have minimum degree at most 1, which no hamiltonian cycle passes.
+    At d = 0 the block is one part.  Above, the degree test is made once
+    for the block, on the bytes of its rows: a translate to each byte's
+    popcount and a sum of each row's bytes give its degree, and a
+    translate and a sum over each matrix's rows give one selector byte a
+    record, which ``compress`` reads.  At d = 1 a second selector, minimum
+    degree at least 2, splits the rows of minimum degree 1 into a part of
+    their own, with no search.
     """
     first = lines[0]
     try:
@@ -602,9 +670,36 @@ def _decode_block(lines: list[bytes]) -> Iterator[tuple[int, tuple[int, ...]]] |
     for layer in layers:
         lower |= int.from_bytes(layer, "little")
     # a strict lower triangle plus its transpose: symmetric and loop-free
-    full = lower | _transpose(lower, lane, count)
+    full = lower | _transpose(lower, _block_swaps(lane, count))
     width = lane // 8
-    rows = struct.iter_unpack(
-        f"<{n}{_ROW_CODES[width]}{(lane - n) * width}x", full.to_bytes(count * matrix, "little")
-    )
-    return zip(repeat(n), rows)
+    matrices = full.to_bytes(count * matrix, "little")
+    rows = struct.iter_unpack(f"<{n}{_ROW_CODES[width]}{(lane - n) * width}x", matrices)
+    if not d:
+        return [(n, count, True, rows)]
+    degrees = _sums(matrices.translate(_popcounts()), width)
+    dense = _min_degree_at_least(degrees, max(d, 2), n, lane)
+    if d > 1:
+        return [(n, count, True, compress(rows, dense))]
+    rows = list(rows)
+    # minimum degree 1: at least 1, and not at least 2
+    sparse = int.from_bytes(_min_degree_at_least(degrees, 1, n, lane), "little")
+    sparse ^= int.from_bytes(dense, "little")
+    return [
+        (n, count, True, compress(rows, dense)),
+        (n, 0, False, compress(rows, sparse.to_bytes(count, "little"))),
+    ]
+
+
+def _row_parts(
+    rows: Iterable[tuple[int, tuple[int, ...]]], d: int
+) -> Iterator[tuple[int, int, bool, tuple[tuple[int, ...], ...]]]:
+    """``_decode_block``'s parts of (n, adj) rows, one part a row, its
+    minimum degree tested in Python: the test of the line-by-line fallback
+    and of ``Graph`` streams.  A row below ``d`` still gives its order and
+    its record, with no rows."""
+    for n, adj in rows:
+        if not d:
+            yield n, 1, True, (adj,)
+            continue
+        delta = min(map(int.bit_count, adj))
+        yield n, 1, delta > 1, (adj,) if delta >= d else ()

@@ -19,10 +19,10 @@ whether a graph fits or is a copy of one.  Every statement with a minimum
 degree d is about nonhamiltonian graphs with minimum degree >= d; the
 stability theorems and the saturation lemmas also ask for more than a
 threshold number of K_k's, and the lemmas ask for a saturated graph rather
-than a nonhamiltonian one.  ``_run_stripe`` is the one gate, and it tests
-these hypotheses cheapest first, before the examiner sees the graph:
-minimum degree; the K_k count, behind an edge floor from the
-Kruskal-Katona bound; then nonhamiltonicity (no search when the minimum
+than a nonhamiltonian one.  The hypotheses are tested cheapest first,
+before the examiner sees the graph: minimum degree, by the row source;
+then, in ``_run_stripe``, the K_k count, behind an edge floor from the
+Kruskal-Katona bound, and nonhamiltonicity (no search when the minimum
 degree is at most 1) or saturation.  The hypotheses are a conjunction, so
 their order changes no report.
 
@@ -30,28 +30,37 @@ Reports are deterministic: violations and witnesses are canonically sorted by
 graph6 string, and sharded runs merge into byte-identical reports (modulo the
 elapsed-time field) regardless of worker count.
 
-A sweep consumes its stream once and lazily, as (n, adj) rows.  The gate's
-tests read the rows: the minimum degree and the edge floor directly, the
-K_k counts through ``counting._clique_count`` and hamiltonicity through
-``hamilton._hamiltonian``, the kernels of ``count_cliques`` and
-``is_hamiltonian``.  A row becomes a ``Graph`` only for a graph that
-reaches ``is_saturated`` or the examiner, and only the graphs that enter the
-report (the violations and witnesses) are encoded back to graph6.
+A sweep consumes its stream once and lazily, as parts (see
+``graphs._decode_block``): an order, the number of stream records it
+stands for, whether hamiltonicity must be decided, and the adjacency rows
+of its graphs with minimum degree at least d.  The block decoder decides
+the minimum degree for a whole block of graph6 lines from the bytes of its
+rows, so no graph below d enters the stripe's loop; the line-by-line
+fallback and streams of ``Graph``s test it row by row
+(``graphs._row_parts``).  Each part's order is checked before its rows are
+read, rows or none.  The stripe's tests read the rows: the edge floor
+directly, the K_k counts through ``counting._clique_count`` and
+hamiltonicity through ``hamilton._hamiltonian``, the kernels of
+``count_cliques`` and ``is_hamiltonian``.  A row becomes a ``Graph`` only
+for a graph that reaches ``is_saturated`` or the examiner, and only the
+graphs that enter the report (the violations and witnesses) are encoded
+back to graph6.
 
-``_tasks`` is the one row source.  A graph6 stream from ``stream_graph6`` or
-the stdin reader that has not been iterated gives its raw lines, a block at
-a time, with the source name and the number of the first line;
-``enumeration._line_rows`` reads them with the block decoder, or line by
-line where it declines a block, so a malformed line is named
+``_tasks`` is the one source of parts.  A graph6 stream from
+``stream_graph6`` or the stdin reader that has not been iterated gives its
+raw lines, a block at a time, with the source name and the number of the
+first line; ``enumeration._line_parts`` reads them with the block decoder,
+or line by line where it declines a block, so a malformed line is named
 ``source:lineno:`` whoever decodes it.  Any other stream, such as the
 internal generator, a list, or a graph6 stream already started, gives its
-graphs' (n, adj).  One worker runs the gate over the caller's stream in
-place.  More workers receive it in tasks of ``_CHUNK`` lines or rows, at
-most two tasks per worker in flight, so neither path holds the whole stream
-in memory; a stream that fits in one task runs in process, and only a sweep
-of more tasks imports the process pool.  No ``Graph`` crosses the process
-boundary.  A task's result, the stripe's counts and the graph6 strings of
-its violations and witnesses, comes back to be merged.
+graphs' (n, adj), one part each.  One worker runs the gate over the
+caller's stream in place.  More workers receive it in tasks of ``_CHUNK``
+lines or rows, at most two tasks per worker in flight, so neither path
+holds the whole stream in memory; a stream that fits in one task runs in
+process, and only a sweep of more tasks imports the process pool.  No
+``Graph`` crosses the process boundary.  A task's result, the stripe's
+counts and the graph6 strings of its violations and witnesses, comes back
+to be merged.
 """
 
 from __future__ import annotations
@@ -65,10 +74,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from nonham.classify import _fits, _is_member, _template_set
 from nonham.counting import _clique_count, count_cliques
-from nonham.enumeration import _Graph6Stream, _line_rows, _order_and_rows
+from nonham.enumeration import _Graph6Stream, _line_parts, _order_and_rows
 from nonham.families import Family
 from nonham.formulas import e_bound, edge_floor, falling_factorial, h_k, star_count_formula
-from nonham.graphs import Graph, _unchecked_graph, graph6_encode, min_degree
+from nonham.graphs import Graph, _row_parts, _unchecked_graph, graph6_encode, min_degree
 from nonham.hamilton import _hamiltonian, is_saturated
 
 
@@ -257,17 +266,25 @@ def _cleared(n: int, adj: tuple[int, ...], above: tuple[tuple[int, int], ...]) -
     return None
 
 
-def _run_stripe(op: str, params: dict, rows: Iterable[tuple[int, tuple[int, ...]]]) -> dict:
-    """The stripe result of a stream of (n, adj) rows: its counts, and the
-    graph6 strings of its violations and witnesses.
+def _run_stripe(
+    op: str, params: dict, parts: Iterable[tuple[int, int, bool, Iterable[tuple[int, ...]]]]
+) -> dict:
+    """The stripe result of a stream of parts (n, records, search, rows)
+    (see ``graphs._decode_block``): its counts, and the graph6 strings of
+    its violations and witnesses.
 
-    The gate tests the hypotheses on the rows, cheapest first, and wraps
-    them in a ``Graph`` (``graphs._unchecked_graph``) only for a graph that
-    reaches ``is_saturated`` or the examiner.  A row of another order than
-    the sweep's stops the stripe where it is met.
+    The minimum degree is decided before a row gets here: per block, from
+    the decoder's bytes, or per row on the line fallback and for ``Graph``
+    streams (``graphs._row_parts``), so each part's rows have minimum degree
+    at least d and ``search`` says whether hamiltonicity must be decided.
+    Each part's records count toward the stream total.  The gate tests the
+    other hypotheses on the rows, cheapest first, and wraps them in a
+    ``Graph`` (``graphs._unchecked_graph``) only for a graph that reaches
+    ``is_saturated`` or the examiner.  A part of another order than the
+    sweep's stops the stripe where it is met, whether or not it has rows.
     """
     examine, above, saturated = _THEOREMS[op].examiner(**params)
-    n, d = params["n"], params.get("d", 0)
+    n = params["n"]
     # the edge floor, as a degree sum
     floor = 2 * min((edge_floor(n, k, threshold) for k, threshold in above), default=0)
     checked = 0
@@ -275,37 +292,34 @@ def _run_stripe(op: str, params: dict, rows: Iterable[tuple[int, tuple[int, ...]
     violations: set[tuple[str, str, str]] = set()
     witnesses: set[str] = set()
     tallies: dict[str, int] = {}
-    for order, adj in rows:
+    for order, records, search, rows in parts:
         if order != n:
             raise ValueError(f"stream graph of order {order} in a sweep over order {n}")
-        total += 1
-        if d:  # the saturation lemmas alone have no d
-            delta = min(map(int.bit_count, adj))
-            if delta < d:
+        total += records
+        for adj in rows:
+            count = None
+            if above:
+                if sum(map(int.bit_count, adj)) < floor:
+                    continue
+                count = _cleared(n, adj, above)
+                if count is None:
+                    continue
+            if saturated:
+                g = _unchecked_graph(n, adj)
+                if not is_saturated(g):
+                    continue
+            elif search and _hamiltonian(n, adj):
                 continue
-        count = None
-        if above:
-            if sum(map(int.bit_count, adj)) < floor:
-                continue
-            count = _cleared(n, adj, above)
-            if count is None:
-                continue
-        if saturated:
-            g = _unchecked_graph(n, adj)
-            if not is_saturated(g):
-                continue
-        elif delta > 1 and _hamiltonian(n, adj):
-            continue
-        else:
-            g = _unchecked_graph(n, adj)
-        checked += 1
-        ok, observed, bound, is_witness, tally = examine(g, count)
-        for key, val in tally.items():
-            tallies[key] = tallies.get(key, 0) + val
-        if not ok:
-            violations.add((graph6_encode(g), str(observed), str(bound)))
-        elif is_witness:
-            witnesses.add(graph6_encode(g))
+            else:
+                g = _unchecked_graph(n, adj)
+            checked += 1
+            ok, observed, bound, is_witness, tally = examine(g, count)
+            for key, val in tally.items():
+                tallies[key] = tallies.get(key, 0) + val
+            if not ok:
+                violations.add((graph6_encode(g), str(observed), str(bound)))
+            elif is_witness:
+                witnesses.add(graph6_encode(g))
     return {
         "checked": checked,
         "total": total,
@@ -333,35 +347,35 @@ def _merge(parts: Iterable[dict]) -> dict:
     return merged
 
 
-def _tasks(stream: Iterable[Graph], size: int | None) -> Iterator[tuple[Callable, tuple]]:
-    """A sweep's stream as tasks (rows, args), whose (n, adj) rows are
-    rows(*args): the one row source of both the in-process stripe and the
-    workers.
+def _tasks(stream: Iterable[Graph], size: int | None, d: int) -> Iterator[tuple[Callable, tuple]]:
+    """A sweep's stream as tasks (parts, args), whose parts, gated at
+    minimum degree ``d``, are parts(*args): the one source of both the
+    in-process stripe and the workers.
 
     A graph6 stream that has not been iterated gives its raw blocks of
     ``size`` lines (or as its reader cuts them, when ``size`` is None),
     with its source name and first line number, and
-    ``enumeration._line_rows`` reads their rows as the stream would decode
-    them.  Any other stream gives its graphs' (n, adj) rows: in lists of
-    ``size``, or all in one lazy task when ``size`` is None.  So no
-    ``Graph`` is pickled.
+    ``enumeration._line_parts`` decodes and gates them as the stream would
+    decode them.  Any other stream gives its graphs' (n, adj) rows, gated
+    one by one by ``graphs._row_parts``: in lists of ``size``, or all in
+    one lazy task when ``size`` is None.  So no ``Graph`` is pickled.
     """
     blocks = stream.raw_blocks(size) if isinstance(stream, _Graph6Stream) else None
     if blocks is not None:
         for lines, start in blocks:
-            yield _line_rows, (lines, start, stream.source)
+            yield _line_parts, (lines, start, stream.source, d)
         return
     rows = map(_order_and_rows, stream)
     if size is None:
-        yield iter, (rows,)
+        yield _row_parts, (rows, d)
         return
     for chunk in iter(lambda: list(islice(rows, size)), []):
-        yield iter, (chunk,)
+        yield _row_parts, (chunk, d)
 
 
-def _run_task(op: str, params: dict, rows: Callable, args: tuple) -> dict:
+def _run_task(op: str, params: dict, parts: Callable, args: tuple) -> dict:
     """The stripe result of one task of ``_tasks``."""
-    return _run_stripe(op, params, rows(*args))
+    return _run_stripe(op, params, parts(*args))
 
 
 def _sharded_parts(
@@ -389,11 +403,13 @@ def _run_op(
     op: str, params: dict, stream: Iterable[Graph], workers: int, extra: dict | None = None
 ) -> VerificationReport:
     t0 = time.monotonic()
+    # the saturation lemmas alone have no d
+    d = params.get("d", 0)
     if workers <= 1:
-        tasks = _tasks(stream, None)
-        merged = _run_stripe(op, params, chain.from_iterable(rows(*args) for rows, args in tasks))
+        tasks = _tasks(stream, None, d)
+        merged = _run_stripe(op, params, chain.from_iterable(parts(*args) for parts, args in tasks))
     else:
-        tasks = _tasks(stream, _CHUNK)
+        tasks = _tasks(stream, _CHUNK, d)
         # a stream of at most one chunk runs in process
         first = list(islice(tasks, 2))
         if len(first) < 2:

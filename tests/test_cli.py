@@ -236,6 +236,26 @@ def test_worker_env_override(tmp_path):
     assert "2 workers" in proc.stderr
 
 
+def test_verify_summary_counts_the_stream_and_names_a_vacuous_sweep(capsys):
+    # stderr says how many of the stream's graphs passed the gate, and that
+    # a "verified" over none of them is vacuous; stdout and the exit code
+    # are those of the report
+    for args, summary in (
+        (["edge-bound", "--n", "5", "--d", "2"], "edge-bound: 3 of 34 checked, 0 violations, "),
+        (
+            ["stability", "--n", "5", "--d", "2", "--k", "2"],
+            "stability: 0 of 34 checked (vacuous: no graph passed the gate), 0 violations, ",
+        ),
+    ):
+        assert main(["verify", *args, "--workers", "1"]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err.startswith(summary) and err.endswith(" ms\n"), err
+        assert err.count("\n") == 1
+        assert report["extra"]["stream_total"] == 34
+        assert report["graphs_checked"] == summary.split()[1]
+
+
 def test_worker_counts_below_one_exit_2(monkeypatch, capsys):
     # a count that is not an integer of at least 1 is named by its source,
     # before any graph is read

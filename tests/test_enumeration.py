@@ -3,6 +3,7 @@ import io
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,8 +30,10 @@ from nonham.enumeration import (
 )
 from nonham.families import FAMILY_TAGS, Family, build_GprimeD, build_Gprime2, build_Hprime
 from nonham.graphs import (
+    Graph,
     Graph6Error,
     _decode_block,
+    _row_parts,
     _triangle_code,
     _unchecked_graph,
     complete_graph,
@@ -374,11 +377,13 @@ def test_stream_graph6_block_path_at_every_order(tmp_path, small_blocks):
         data = "".join(r + "\n" for r in records).encode("ascii")
         assert_stream_agrees(tmp_path, data)
         assert list(stream_graph6(str(tmp_path / "stream.g6"))) == graphs
-        # each full block takes the block path, which gives (n, adj) rows
+        # each full block takes the block path, which gives one part of
+        # every record's rows
         lines = data.splitlines(keepends=True)
         for at in range(0, 3 * small_blocks, small_blocks):
-            block = _decode_block(lines[at : at + small_blocks])
-            assert list(block) == [(g.n, g.adj) for g in graphs[at : at + small_blocks]]
+            [(order, records, search, rows)] = _decode_block(lines[at : at + small_blocks])
+            assert (order, records, search) == (n, small_blocks, True)
+            assert list(rows) == [g.adj for g in graphs[at : at + small_blocks]]
         # without the last newline
         assert_stream_agrees(tmp_path, data[:-1])
     # mixed orders, and the same length at different orders (3 and 4)
@@ -387,6 +392,83 @@ def test_stream_graph6_block_path_at_every_order(tmp_path, small_blocks):
     data = "".join(graph6_encode(g) + "\n" for g in mixed).encode("ascii")
     assert_stream_agrees(tmp_path, data)
     assert list(stream_graph6(str(tmp_path / "stream.g6"))) == mixed
+
+
+def gated(parts):
+    """The rows that parts keep, as a multiset of (n, adj, search), and the
+    records they count."""
+    kept = Counter()
+    records = 0
+    for n, count, search, rows in parts:
+        records += count
+        for adj in rows:
+            kept[n, adj, search] += 1
+    return kept, records
+
+
+def oracle_gate(graphs, d):
+    """The per-row test of minimum degree at least d: the graphs kept, each
+    marked for the hamiltonicity search unless its minimum degree is at
+    most 1 (at d = 0 no test is made, and every graph is marked)."""
+    kept = Counter()
+    for g in graphs:
+        delta = min(map(int.bit_count, g.adj))
+        if delta >= d:
+            kept[g.n, g.adj, delta > 1 or not d] += 1
+    return kept
+
+
+def test_block_gate_equals_the_per_row_test_on_the_corpus():
+    # every corpus block, the short last one too, at d = 0..7: the block
+    # decoder keeps the rows and marks the search as the per-row test does
+    with DATA8.open("rb") as fh:
+        blocks = list(enumeration._blocks(fh))
+    graphs = [graph6_decode(line) for line in DATA8.read_bytes().split()]
+    for d in range(8):
+        kept = Counter()
+        records = 0
+        for lines, start in blocks:
+            parts = _decode_block(lines, d)
+            assert parts is not None
+            block_kept, block_records = gated(parts)
+            assert block_records == len(lines)
+            assert gated(enumeration._line_parts(lines, start, "corpus", d)) == (
+                block_kept, block_records
+            )
+            kept += block_kept
+            records += block_records
+        assert records == len(graphs)
+        assert kept == oracle_gate(graphs, d), d
+
+
+def test_block_gate_equals_the_per_row_test_at_every_lane():
+    # n = 1..8 pad the 8-bit lane with zero rows, which must not fail the
+    # test; n = 9..16 take the 16-bit lane, and 20, 33 and 64 the others.
+    # Each block holds the empty and complete graphs and random ones from
+    # sparse to dense, so every minimum degree occurs
+    rng = random.Random(71)
+    for n in [*range(1, 17), 20, 33, 64]:
+        graphs = [Graph(n, (0,) * n), complete_graph(n)]
+        graphs += [random_graph(rng, n, (i + 0.5) / 40) for i in range(40)]
+        lines = [(graph6_encode(g) + "\n").encode("ascii") for g in graphs]
+        rows = [(g.n, g.adj) for g in graphs]
+        for d in range(n + 1):
+            want = oracle_gate(graphs, d)
+            assert gated(_decode_block(lines, d)) == (want, len(graphs)), (n, d)
+            assert gated(_row_parts(rows, d)) == (want, len(graphs)), (n, d)
+
+
+def test_a_block_with_blank_lines_falls_back_and_counts_records():
+    # the block decoder declines blank lines; the fallback counts the
+    # graphs, not the lines, and keeps the rows the block path would
+    lines = DATA8.read_bytes().splitlines(keepends=True)[:50]
+    blanked = lines[:10] + [b"\n", b"\n"] + lines[10:]
+    graphs = [graph6_decode(line) for line in lines]
+    for d in (0, 1, 2, 3):
+        assert _decode_block(blanked, d) is None
+        assert gated(enumeration._line_parts(blanked, 1, "blank", d)) == (
+            oracle_gate(graphs, d), 50
+        )
 
 
 def test_stream_graph6_irregular_lines(tmp_path, small_blocks):

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -337,17 +338,42 @@ def test_graph6_roundtrip_every_order():
 
 
 def test_import_builds_no_decode_table():
-    # the tables are built on first decode, so importing costs nothing
+    # the tables, the degree gate's too, are built on first decode, so
+    # importing costs nothing
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import nonham; from nonham import graphs; print(*(f.cache_info().currsize for f in "
-            "(graphs._decode_table, graphs._block_table, graphs._block_masks, graphs._zero_padded)))",
+            "(graphs._decode_table, graphs._block_table, graphs._block_masks, graphs._zero_padded, "
+            "graphs._popcounts, graphs._byte_range)))",
         ],
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.split() == ["0"] * 4
+    assert proc.stdout.split() == ["0"] * 6
+
+
+def test_block_masks_cache_keeps_the_decoders_blocks_only():
+    # a block of 1,024 or 2,048 records reuses its cached masks; a shape
+    # table's one-off count (the order-9 cycle table: 2,520 blocks of 8
+    # shapes, rounded to 4,096) leaves nothing cached
+    from helpers import REPO_GRAPHS8
+    from nonham import graphs
+    from nonham.hamilton import _cycle_table
+
+    lines = Path(REPO_GRAPHS8).read_bytes().splitlines(keepends=True)
+    cache = graphs._block_masks
+    cache.cache_clear()
+    try:
+        _cycle_table.__wrapped__(9)
+        assert cache.cache_info().currsize == 0
+        for d in (0, 1, 2):
+            assert graphs._decode_block(lines[:1024], d) is not None
+        assert cache.cache_info()[:2] == (2, 1)  # (hits, misses)
+        assert graphs._decode_block(lines[:2048], 3) is not None
+        assert cache.cache_info().currsize == 2
+    finally:
+        cache.cache_clear()
 
 
 def test_unchecked_graph_is_the_checked_value():

@@ -468,6 +468,50 @@ def test_order_mismatch_rejected(tmp_path):
             verify_edge_bound(6, 1, stream_graph6(str(aligned)), workers=workers)
 
 
+def test_a_block_that_fails_the_gate_still_has_its_order_checked(tmp_path, monkeypatch):
+    # a whole block of order-5 graphs with an isolated vertex, after one
+    # block of order 6: decoded whole, gated to no rows, and in a block of
+    # mixed orders read line by line, it is still refused with the same
+    # message, at 1 and 2 workers, chunks cut where the reader cuts blocks
+    from nonham.enumeration import _BLOCK
+
+    monkeypatch.setattr(verify, "_CHUNK", _BLOCK)
+    message = "^stream graph of order 5 in a sweep over order 6$"
+    six = [graph6_encode(g) for g in islice(cycle(stream(6)), _BLOCK)]
+    isolated = [graph6_encode(g) for g in stream(5) if not all(g.adj)]
+    whole = list(islice(cycle(isolated), _BLOCK))
+    for name, lines in (("whole", [*six, *whole]), ("mixed", [*six, *whole[:9], six[0]])):
+        path = tmp_path / f"{name}.g6"
+        path.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+        for d in (1, 2):
+            for workers in (1, 2):
+                with pytest.raises(ValueError, match=message):
+                    verify_edge_bound(6, d, stream_graph6(str(path)), workers=workers)
+
+
+def test_stream_total_counts_graphs_not_blank_lines(tmp_path, monkeypatch):
+    # blank lines send their blocks to the line-by-line fallback; the report
+    # is the one of the file without them, and of the generator's graphs,
+    # whose δ is tested row by row, at 1 and 2 workers
+    monkeypatch.setattr(verify, "_CHUNK", 300)
+    lines = [graph6_encode(g) for g in stream(7)]
+    plain = tmp_path / "plain.g6"
+    plain.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+    for at in (900, 400, 0):
+        lines.insert(at, "")
+    blank = tmp_path / "blank.g6"
+    blank.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+    reports = set()
+    for source in (plain, blank, None):
+        for workers in (1, 2):
+            graphs = stream(7) if source is None else stream_graph6(str(source))
+            report = verify_star_claim(7, 1, 3, graphs, workers=workers)
+            assert report.extra["stream_total"] == 1044
+            report.elapsed_ms = 0
+            reports.add(report.to_json())
+    assert len(reports) == 1
+
+
 def test_a_sweep_wraps_a_graph_only_past_the_gate(monkeypatch):
     # the gate reads the block decoder's rows: of the corpus, only the graphs
     # that reach the examiner or is_saturated are wrapped in a Graph, counted
