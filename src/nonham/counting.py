@@ -41,7 +41,6 @@ from nonham.graphs import (
     _groups,
     _shape_table,
     _shapes_left,
-    _unchecked_graph,
     bits,
 )
 
@@ -141,19 +140,20 @@ def count_cliques(g: Graph, k: int) -> int:
     """
     if k < 1:
         raise ValueError("count_cliques needs k >= 1")
-    return _clique_count(g.n, g.adj, k)
+    return _clique_count(g.adj, k)
 
 
-def _clique_count(n: int, adj: tuple[int, ...], k: int) -> int:
-    """``count_cliques`` of the graph on n vertices with rows ``adj``, for
-    k >= 1, which the sweeps ask without building a ``Graph``: the table's
-    count at 2 <= k <= n <= 8, else the search on the rows wrapped in one."""
+def _clique_count(adj: tuple[int, ...], k: int) -> int:
+    """``count_cliques`` of the graph with rows ``adj``, for k >= 1, which
+    the sweeps ask of rows they have not wrapped in a ``Graph``: the table's
+    count at 2 <= k <= n <= 8, else the search on the same rows."""
+    n = len(adj)
     if 2 <= k <= n <= _TABLE_MAX:
         return _shapes_left(_clique_table(n, k), adj).bit_count()
-    return _twin_clique_count(_unchecked_graph(n, adj), k)
+    return _twin_clique_count(adj, k)
 
 
-def _twin_clique_count(g: Graph, k: int) -> int:
+def _twin_clique_count(adj: tuple[int, ...], k: int) -> int:
     """``count_cliques`` by search, for any order and k >= 1.
 
     Each clique is counted at its lowest vertex v among the candidates, as a
@@ -163,7 +163,6 @@ def _twin_clique_count(g: Graph, k: int) -> int:
     neighbours N outside S, so the cliques meeting S number
     sum over j >= 1 of C(|S|, j) times the (need - j)-cliques of N.
     """
-    adj = g.adj
     # closed-twin classes, keyed by their common closed neighbourhood
     classes = _groups([row | 1 << v for v, row in enumerate(adj)]) if k >= 3 else {}
 
@@ -190,7 +189,7 @@ def _twin_clique_count(g: Graph, k: int) -> int:
                 total += comb(s, j) * rec(common, need - j)
         return total
 
-    total = rec((1 << g.n) - 1, k)
+    total = rec((1 << len(adj)) - 1, k)
     del rec  # the closure holds itself through its cell: free it now
     return total
 

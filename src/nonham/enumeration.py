@@ -57,18 +57,17 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import chain, islice, repeat, starmap
-from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from nonham.graphs import (
     Graph,
     Graph6Error,
     _decode_block,
+    _graph6_rows,
     _row_parts,
     _triangle_code,
     _twin_groups,
     _unchecked_graph,
-    graph6_decode,
     min_degree,
     relabel,
 )
@@ -116,10 +115,10 @@ def _generation(
         return [(0, Graph(1, (0,)), [] if automorphisms else None)]
     children = []
     for _, parent, autos in _generation(n - 1, automorphisms=True):
-        for code, child in _children(parent, autos):
+        for code, rows in _children(parent, autos):
             ties: list[list[int]] | None = [] if automorphisms else None
-            if _min_code_perm(child, own=code, ties=ties)[0] == code:
-                children.append((code, child, ties))
+            if _min_code_perm(rows, own=code, ties=ties)[0] == code:
+                children.append((code, _unchecked_graph(n, rows), ties))
     children.sort()
     return children
 
@@ -131,8 +130,8 @@ def _reversed_columns(width: int) -> tuple[int, ...]:
     return tuple(int(f"{c:0{width}b}"[::-1], 2) for c in range(1 << width))
 
 
-def _children(parent: Graph, autos: list[list[int]]) -> Iterator[tuple[int, Graph]]:
-    """The children of ``parent`` that pass the filters, with their codes.
+def _children(parent: Graph, autos: list[list[int]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The children of ``parent`` that pass the filters, as (code, rows).
 
     A child gives the new vertex n-1 a neighborhood S among 0..n-2, and its
     code is the parent's code followed by the new column, col(S).  A filter
@@ -169,7 +168,7 @@ def _children(parent: Graph, autos: list[list[int]]) -> Iterator[tuple[int, Grap
         if any((d := image[nbhd] ^ nbhd) & -d & nbhd for image in images):
             continue
         rows = [row | new_bit if nbhd >> v & 1 else row for v, row in enumerate(parent.adj)]
-        yield base | col, _unchecked_graph(n, (*rows, nbhd))
+        yield base | col, (*rows, nbhd)
 
 
 def _images(order: list[int]) -> list[int]:
@@ -260,9 +259,9 @@ def _order_code(adj: tuple[int, ...], order: list[int]) -> int:
 
 
 def _min_code_perm(
-    g: Graph, own: int | None = None, ties: list[list[int]] | None = None
+    adj: tuple[int, ...], own: int | None = None, ties: list[list[int]] | None = None
 ) -> tuple[int, list[int]]:
-    """Minimal code over relabelings and a relabeling achieving it.
+    """Minimal code over relabelings of the rows ``adj`` and a relabeling achieving it.
 
     Each maximum independent set starts the search as one placed cell of
     open order.  At a node, ``cells`` are the placed independent-set cells
@@ -284,7 +283,7 @@ def _min_code_perm(
     order to ``ties``.  Such an order relabels g onto itself, so the map
     i -> order[i] is an automorphism of g.
     """
-    n, adj = g.n, g.adj
+    n = len(adj)
     if n == 1:
         return 0, [0]
     m = n * (n - 1) // 2
@@ -413,14 +412,14 @@ def canonical_form(g: Graph) -> Graph:
     Agrees with the internal generator: a graph is yielded by
     ``enumerate_nonisomorphic`` iff it equals its own canonical form.
     """
-    _, perm = _min_code_perm(g)
+    _, perm = _min_code_perm(g.adj)
     return relabel(g, perm)
 
 
-def decode_graph6_lines(
+def _decode_graph6_lines(
     lines: Iterable[bytes], source: str, start: int = 1
-) -> Iterator[Graph]:
-    """Lazily decode graph6 lines, skipping blank ones, one line at a time.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Lazily decode graph6 lines to (n, adj), one at a time, skipping blank ones.
 
     A malformed line aborts the stream with ``source:lineno:`` in front of
     the decoder's message, the first line counting as ``start``.
@@ -430,7 +429,7 @@ def decode_graph6_lines(
         if not line:
             continue
         try:
-            yield graph6_decode(line)
+            yield _graph6_rows(line)
         except Graph6Error as exc:
             raise Graph6Error(f"{source}:{lineno}: {exc}") from exc
 
@@ -458,21 +457,17 @@ def _path_blocks(path: str, size: int | None = None) -> Iterator[tuple[list[byte
         yield from _blocks(fh, size)
 
 
-# a graph's (n, adj) row pair
-_order_and_rows = attrgetter("n", "adj")
-
-
 def _line_parts(
     block: list[bytes], start: int, source: str, d: int = 0
 ) -> Iterable[tuple[int, int, bool, Iterable[tuple[int, ...]]]]:
     """The parts of a block of graph6 lines, the first counting as line
     ``start``, with minimum degree ``d`` (see ``graphs._decode_block``):
     the block decoder's, or, for a block that it declines, one per graph
-    of ``decode_graph6_lines``, which names a malformed line
+    of ``_decode_graph6_lines``, which names a malformed line
     ``source:lineno:``, gated by ``graphs._row_parts``."""
     parts = _decode_block(block, d)
     if parts is None:
-        parts = _row_parts(map(_order_and_rows, decode_graph6_lines(block, source, start)), d)
+        parts = _row_parts(_decode_graph6_lines(block, source, start), d)
     return parts
 
 

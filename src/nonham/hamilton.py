@@ -59,8 +59,9 @@ that answers wins:
 
 The table, the closure and the certificate give no witness, so witnesses
 (cycles, paths, path partitions) do not depend on whether any of them
-decided.  G + z and G + K_t are built without ``Graph``'s order check,
-since they may have more than ``MAX_ORDER`` vertices.
+decided.  Every step reads adjacency rows, a tuple ``adj`` whose length is
+the order: the public functions pass ``g.adj`` once, and G + z and G + K_t
+are row tuples, never ``Graph``s, so their order may pass ``MAX_ORDER``.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ from nonham.graphs import (
     _shape_table,
     _shapes_left,
     _twin_groups,
-    _unchecked_graph,
     add_edge,
     bits,
     twin_masks,
@@ -115,12 +115,12 @@ def _component(adj: Sequence[int], seed: int, within: int) -> int:
     return comp
 
 
-def _connected(g: Graph) -> bool:
-    full = (1 << g.n) - 1
-    return _component(g.adj, 1, full) == full
+def _connected(adj: tuple[int, ...]) -> bool:
+    full = (1 << len(adj)) - 1
+    return _component(adj, 1, full) == full
 
 
-def _capacity_classes(g: Graph) -> list[tuple[int, int, bool]]:
+def _capacity_classes(adj: tuple[int, ...]) -> list[tuple[int, int, bool]]:
     """Twin classes of size >= 2 as (members, external neighborhood, is_true).
 
     Used for a capacity prune: unvisited members of a class need two path
@@ -129,7 +129,7 @@ def _capacity_classes(g: Graph) -> list[tuple[int, int, bool]]:
     or the closing anchor.  A group's key is its members' open or closed
     neighborhood, so the key less the members is the external neighborhood.
     """
-    opened, closed = _twin_groups(g.adj)
+    opened, closed = _twin_groups(adj)
     return [
         (members, key & ~members, is_true)
         for is_true, groups in ((False, opened), (True, closed))
@@ -138,16 +138,15 @@ def _capacity_classes(g: Graph) -> list[tuple[int, int, bool]]:
     ]
 
 
-def _forced_edge_scan(g: Graph) -> tuple[int, ...] | bool:
-    """Resolve the forced edges of g: both edges at each vertex of degree 2.
+def _forced_edge_scan(adj: tuple[int, ...]) -> tuple[int, ...] | bool:
+    """Resolve the forced edges: both edges at each vertex of degree 2.
 
     Returns a full cycle (tuple) if the forced edges already form one, False
-    if they make a hamiltonian cycle impossible, and True otherwise.  The
-    order of g may pass ``MAX_ORDER``, as G + z and G + K_t can.
+    if they make a hamiltonian cycle impossible, and True otherwise.
     """
-    n = g.n
+    n = len(adj)
     forced = [0] * n
-    for v, row in enumerate(g.adj):
+    for v, row in enumerate(adj):
         if row.bit_count() == 2:
             for u in bits(row):
                 forced[v] |= 1 << u
@@ -184,12 +183,11 @@ def _walk_cycle(forced: list[int]) -> tuple[int, ...]:
     return tuple(cycle)
 
 
-def _scattered(g: Graph, classes: list[tuple[int, int, bool]]) -> bool:
-    """True when removing some candidate set S from the connected graph g
-    leaves more than |S| components, which rules out a hamiltonian cycle.
-    False says nothing."""
-    n = g.n
-    adj = g.adj
+def _scattered(adj: tuple[int, ...], classes: list[tuple[int, int, bool]]) -> bool:
+    """True when removing some candidate set S from the connected graph with
+    rows ``adj`` leaves more than |S| components, which rules out a
+    hamiltonian cycle.  False says nothing."""
+    n = len(adj)
     deg = [row.bit_count() for row in adj]
     low = min(deg)
     cands = set()
@@ -261,7 +259,7 @@ def _has_cut_vertex(adj: tuple[int, ...]) -> bool:
 
 
 def _extend_path(
-    g: Graph,
+    adj: tuple[int, ...],
     classes: list[tuple[int, int, bool]],
     start: int,
     anchor: int,
@@ -273,13 +271,13 @@ def _extend_path(
     ``anchor`` is never unvisited: it is ``start`` itself (cycles) or a vertex
     outside ``cover`` (u-v paths).  A cycle's path must also have its second
     vertex below its last, so each cycle is found in one direction.
-    ``classes`` are g's capacity classes.
+    ``classes`` are the capacity classes of the rows ``adj``.
     """
-    adj = g.adj
+    n = len(adj)
     abit = 1 << anchor
     path = [start]
-    try_order = sorted(range(g.n), key=lambda v: (adj[v].bit_count(), v))
-    lower = [0] * g.n  # lower[v]: v's twins below it
+    try_order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
+    lower = [0] * n  # lower[v]: v's twins below it
     for members, _, _ in classes:
         for v in bits(members):
             lower[v] = members & ((1 << v) - 1)
@@ -348,13 +346,13 @@ def _cycle_table(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return _shape_table(n, columns, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _closure_complete(g: Graph) -> bool:
-    """True when the Chvatal closure of g is complete, which makes g
-    hamiltonian; False says nothing."""
-    n = g.n
+def _closure_complete(adj: tuple[int, ...]) -> bool:
+    """True when the Chvatal closure of the rows ``adj`` is complete, which
+    makes the graph hamiltonian; False says nothing."""
+    n = len(adj)
     if n < 3:
         return False
-    rows = list(g.adj)
+    rows = list(adj)
     deg = [row.bit_count() for row in rows]
     if min(deg) < 2:
         return False
@@ -379,64 +377,64 @@ def _closure_complete(g: Graph) -> bool:
     return not missing
 
 
-def _screen(g: Graph) -> tuple | None:
-    """Step 2 of the decision: the checks that run on g before the search.
-    The cut-vertex pass runs last, so graphs that the others settle do not
-    pay for it.
+def _screen(adj: tuple[int, ...]) -> tuple | None:
+    """Step 2 of the decision: the checks that run on the rows ``adj``
+    before the search.  The cut-vertex pass runs last, so graphs that the
+    others settle do not pay for it.
 
-    Returns None when one of them rules out a hamiltonian cycle of g, and
+    Returns None when one of them rules out a hamiltonian cycle, and
     otherwise (cycle, classes): the cycle when forced edges already form
-    one, with classes None; else None, with g's capacity classes for the
+    one, with classes None; else None, with the capacity classes for the
     search.
     """
-    if g.n < 3 or any(row.bit_count() < 2 for row in g.adj) or not _connected(g):
+    if len(adj) < 3 or any(row.bit_count() < 2 for row in adj) or not _connected(adj):
         return None
-    pre = _forced_edge_scan(g)
+    pre = _forced_edge_scan(adj)
     if pre is False:
         return None
     if pre is not True:
         return pre, None
-    classes = _capacity_classes(g)
-    if _scattered(g, classes) or _has_cut_vertex(g.adj):
+    classes = _capacity_classes(adj)
+    if _scattered(adj, classes) or _has_cut_vertex(adj):
         return None
     return None, classes
 
 
-def _search_cycle(g: Graph) -> tuple[int, ...] | None:
-    screened = _screen(g)
+def _search_cycle(adj: tuple[int, ...]) -> tuple[int, ...] | None:
+    screened = _screen(adj)
     if screened is None:
         return None
     forced, classes = screened
     if forced:
         return forced
-    path = _extend_path(g, classes, 0, 0, (1 << g.n) - 1)
+    path = _extend_path(adj, classes, 0, 0, (1 << len(adj)) - 1)
     return None if path is None else tuple(path)
 
 
 def is_hamiltonian(g: Graph) -> bool:
     """Exact hamiltonicity decision (False for n < 3); see ``_hamiltonian``."""
-    return _hamiltonian(g.n, g.adj)
+    return _hamiltonian(g.adj)
 
 
-def _hamiltonian(n: int, adj: tuple[int, ...]) -> bool:
-    """``is_hamiltonian`` of the graph on n vertices with rows ``adj``, which
-    the sweeps ask without building a ``Graph``.
+def _hamiltonian(adj: tuple[int, ...]) -> bool:
+    """``is_hamiltonian`` of the graph with rows ``adj``, which the sweeps
+    ask of rows they have not wrapped in a ``Graph``.
 
     At 3 <= n <= 8 one lookup per vertex in ``_cycle_table(n)`` gives the
     cycles of K_n that use a nonedge of the graph, and it is hamiltonian
-    when some cycle is left.  Larger orders wrap the rows in a ``Graph`` and
-    take the closure, then the screen and the search; a graph the closure
+    when some cycle is left.  Larger orders take the closure, then the
+    screen and the search, all on the same rows; a graph the closure
     decides never reaches the search.
     """
+    n = len(adj)
     if 3 <= n <= _TABLE_MAX:
         return _shapes_left(_cycle_table(n), adj) != 0
-    g = _unchecked_graph(n, adj)
-    return _closure_complete(g) or _search_cycle(g) is not None
+    return _closure_complete(adj) or _search_cycle(adj) is not None
 
 
 def find_hamiltonian_cycle(g: Graph) -> list[int] | None:
     """A hamiltonian cycle as a vertex sequence (wrap-around implied), or None."""
-    cyc = _search_cycle(g)
+    cyc = _search_cycle(g.adj)
     return None if cyc is None else list(cyc)
 
 
@@ -455,7 +453,7 @@ def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
     rows = [*g.adj, 1 << u | 1 << v]
     rows[u] |= 1 << n
     rows[v] |= 1 << n
-    gz = _unchecked_graph(n + 1, tuple(rows))
+    gz = tuple(rows)
     screened = _screen(gz)
     if screened is None:
         return None
@@ -581,7 +579,7 @@ def path_partition(h: Graph, t: int) -> PathPartition | None:
     full = (1 << n + t) - 1
     clique = full ^ (1 << n) - 1
     rows = [row | clique for row in h.adj] + [full ^ 1 << x for x in range(n, n + t)]
-    cyc = _search_cycle(_unchecked_graph(n + t, tuple(rows)))
+    cyc = _search_cycle(tuple(rows))
     if cyc is None:
         return None
     first_added = next(i for i, v in enumerate(cyc) if v >= n)

@@ -41,10 +41,10 @@ fallback and streams of ``Graph``s test it row by row
 read, rows or none.  The stripe's tests read the rows: the edge floor
 directly, the K_k counts through ``counting._clique_count`` and
 hamiltonicity through ``hamilton._hamiltonian``, the kernels of
-``count_cliques`` and ``is_hamiltonian``.  A row becomes a ``Graph`` only
-for a graph that reaches ``is_saturated`` or the examiner, and only the
-graphs that enter the report (the violations and witnesses) are encoded
-back to graph6.
+``count_cliques`` and ``is_hamiltonian``, which read the rows at every
+step.  A row becomes a ``Graph`` only for a graph that reaches
+``is_saturated`` or the examiner, and only the graphs that enter the
+report (the violations and witnesses) are encoded back to graph6.
 
 ``_tasks`` is the one source of parts.  A graph6 stream from
 ``stream_graph6`` or the stdin reader that has not been iterated gives its
@@ -70,11 +70,12 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from nonham.classify import _fits, _is_member, _template_set
 from nonham.counting import _clique_count, count_cliques
-from nonham.enumeration import _Graph6Stream, _line_parts, _order_and_rows
+from nonham.enumeration import _Graph6Stream, _line_parts
 from nonham.families import Family
 from nonham.formulas import e_bound, edge_floor, falling_factorial, h_k, star_count_formula
 from nonham.graphs import Graph, _row_parts, _unchecked_graph, graph6_encode, min_degree
@@ -257,10 +258,10 @@ _RANGES = {
 _CHUNK = 2048
 
 
-def _cleared(n: int, adj: tuple[int, ...], above: tuple[tuple[int, int], ...]) -> int | None:
+def _cleared(adj: tuple[int, ...], above: tuple[tuple[int, int], ...]) -> int | None:
     """The first of the graph's K_k counts past its threshold, or None."""
     for k, threshold in above:
-        count = _clique_count(n, adj, k)
+        count = _clique_count(adj, k)
         if count > threshold:
             return count
     return None
@@ -301,14 +302,14 @@ def _run_stripe(
             if above:
                 if sum(map(int.bit_count, adj)) < floor:
                     continue
-                count = _cleared(n, adj, above)
+                count = _cleared(adj, above)
                 if count is None:
                     continue
             if saturated:
                 g = _unchecked_graph(n, adj)
                 if not is_saturated(g):
                     continue
-            elif search and _hamiltonian(n, adj):
+            elif search and _hamiltonian(adj):
                 continue
             else:
                 g = _unchecked_graph(n, adj)
@@ -345,6 +346,10 @@ def _merge(parts: Iterable[dict]) -> dict:
         for key, val in part["tallies"].items():
             merged["tallies"][key] = merged["tallies"].get(key, 0) + val
     return merged
+
+
+# a graph's (n, adj) row pair
+_order_and_rows = attrgetter("n", "adj")
 
 
 def _tasks(stream: Iterable[Graph], size: int | None, d: int) -> Iterator[tuple[Callable, tuple]]:

@@ -106,7 +106,8 @@ def _check_children(parent, autos):
     n = parent.n + 1
     new_bit = 1 << (n - 1)
     kept = {}
-    for code, child in _children(parent, autos):
+    for code, rows in _children(parent, autos):
+        child = _unchecked_graph(n, rows)
         assert code == _triangle_code(child)
         assert induced_subgraph(child, range(n - 1)) == parent
         kept[code] = child
@@ -118,7 +119,7 @@ def _check_children(parent, autos):
         if own in kept:
             assert kept.pop(own) == child
         else:
-            assert _min_code_perm(child)[0] < own, child
+            assert _min_code_perm(child.adj)[0] < own, child
     assert not kept
     return searched
 
@@ -208,12 +209,12 @@ def test_canonical_form_is_relabeling_invariant():
 
 
 def _check_min_code(g, expected):
-    code, perm = _min_code_perm(g)
+    code, perm = _min_code_perm(g.adj)
     assert code == expected, g
     assert _triangle_code(relabel(g, perm)) == code
     # stopped at the first code below g's own: equal exactly when canonical
     own = _triangle_code(g)
-    stopped, perm = _min_code_perm(g, own=own)
+    stopped, perm = _min_code_perm(g.adj, own=own)
     assert (stopped == own) == (own == expected), g
     assert expected <= stopped <= own
     assert _triangle_code(relabel(g, perm)) == stopped
@@ -239,7 +240,7 @@ def test_min_code_matches_the_reference_search():
     rng = random.Random(47)
 
     def check(g):
-        code, perm = _min_code_perm(g)
+        code, perm = _min_code_perm(g.adj)
         assert code == reference_min_code(g), g
         assert _triangle_code(relabel(g, perm)) == code
 
@@ -615,7 +616,7 @@ def test_order8_corpus_aggregate_invariants():
 
     graphs = list(stream_graph6(str(DATA8)))
     # known count of connected graphs on 8 vertices
-    assert sum(1 for g in graphs if _connected(g)) == 11117
+    assert sum(1 for g in graphs if _connected(g.adj)) == 11117
     # graphs with an isolated vertex biject with graphs one order down
     no_isolated = sum(1 for g in graphs if min_degree(g) >= 1)
     assert no_isolated == 12346 - 1044

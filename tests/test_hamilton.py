@@ -248,7 +248,7 @@ def test_capacity_classes_are_the_twin_groups():
             for key, members in groups.items()
             if members.bit_count() >= 2
         }
-        got = _capacity_classes(g)
+        got = _capacity_classes(g.adj)
         assert len(got) == len(want) and set(got) == want, g
         # a vertex has open twins or closed twins, never both
         assert {members for members, _, _ in want} == {t | 1 << v for v, t in enumerate(twins) if t}
@@ -264,12 +264,12 @@ def test_engine_vs_subset_dp_full_corpus():
 
 def test_closure_complete_implies_hamiltonian():
     # Bondy-Chvatal: a complete closure certifies a hamiltonian cycle
-    assert not _closure_complete(complete_graph(1))
-    assert not _closure_complete(complete_graph(2))
-    assert _closure_complete(complete_graph(3))
+    assert not _closure_complete(complete_graph(1).adj)
+    assert not _closure_complete(complete_graph(2).adj)
+    assert _closure_complete(complete_graph(3).adj)
     for n in range(3, 8):
         for g in enumerate_nonisomorphic(n):
-            if _closure_complete(g):
+            if _closure_complete(g.adj):
                 assert dp_hamiltonian(g), g
 
 
@@ -280,7 +280,7 @@ def test_closure_decides_most_hamiltonian_corpus_graphs():
     closed = hamiltonian = 0
     for g in stream_graph6(REPO_GRAPHS8):
         ham = dp_hamiltonian(g)
-        closes = _closure_complete(g)
+        closes = _closure_complete(g.adj)
         assert ham or not closes, g
         hamiltonian += ham
         closed += closes
@@ -295,7 +295,7 @@ def test_closure_decided_graph_skips_the_search(monkeypatch):
     matching = {(0, 1), (2, 3), (4, 5), (6, 7)}
     edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) not in matching]
     g = relabel(build_from_edges(8, edges), [5, 2, 7, 0, 3, 6, 1, 4])
-    assert _closure_complete(g)
+    assert _closure_complete(g.adj)
     searched = []
     search = hamilton._search_cycle
     monkeypatch.setattr(hamilton, "_search_cycle", lambda h: searched.append(h) or search(h))
@@ -303,7 +303,7 @@ def test_closure_decided_graph_skips_the_search(monkeypatch):
     assert searched == []
     # the witness still comes from the search
     cyc = find_hamiltonian_cycle(g)
-    assert searched == [g]
+    assert searched == [g.adj]
     assert sorted(cyc) == list(range(8))
     assert all(g.has_edge(cyc[i], cyc[(i + 1) % 8]) for i in range(8))
 
@@ -319,7 +319,7 @@ def test_closure_decides_order_10_without_the_search(monkeypatch):
     monkeypatch.setattr(hamilton, "_closure_complete", lambda h: closed.append(h) or closure(h))
     monkeypatch.setattr(hamilton, "_search_cycle", lambda h: pytest.fail("searched"))
     assert is_hamiltonian(g)
-    assert closed == [g]
+    assert closed == [g.adj]
 
 
 def _table_decision(g):
@@ -429,8 +429,8 @@ def test_scattering_certificate_never_fires_on_hamiltonian_input():
     fires = nonhamiltonian = 0
     for n in range(3, 9):
         graphs = enumerate_nonisomorphic(n) if n < 8 else stream_graph6(REPO_GRAPHS8)
-        for g in filter(_connected, graphs):
-            fired = _scattered(g, _capacity_classes(g))
+        for g in filter(lambda g: _connected(g.adj), graphs):
+            fired = _scattered(g.adj, _capacity_classes(g.adj))
             if dp_hamiltonian(g):
                 assert not fired, g
             else:
@@ -452,15 +452,15 @@ def test_screen_on_g_plus_z_never_settles_a_pair_with_a_path():
     # the screen settled 20358 before it had the cut-vertex pass
     settled = scattered = cut = no_path = 0
     for n in range(2, 8):
-        for g in filter(_connected, enumerate_nonisomorphic(n)):
+        for g in filter(lambda g: _connected(g.adj), enumerate_nonisomorphic(n)):
             for u in range(n):
                 ends = dp_path_ends(g, u)
                 for v in range(n):
                     if v == u:
                         continue
                     gz = _plus_z(g, u, v)
-                    out = _screen(gz) is None
-                    certified = _scattered(gz, _capacity_classes(gz))
+                    out = _screen(gz.adj) is None
+                    certified = _scattered(gz.adj, _capacity_classes(gz.adj))
                     separated = _has_cut_vertex(gz.adj)
                     if ends >> v & 1:
                         assert not out and not certified and not separated, (g, u, v)
@@ -474,11 +474,11 @@ def test_screen_on_g_plus_z_never_settles_a_pair_with_a_path():
     # C4 between opposite vertices: in C4 + z, S = {u, v} leaves three
     # components, the two other vertices and z
     c4 = cycle_graph(4)
-    assert not _scattered(c4, _capacity_classes(c4))
+    assert not _scattered(c4.adj, _capacity_classes(c4.adj))
     c4z = _plus_z(c4, 0, 2)
-    assert _scattered(c4z, _capacity_classes(c4z))
+    assert _scattered(c4z.adj, _capacity_classes(c4z.adj))
     c4z = _plus_z(c4, 0, 1)
-    assert not _scattered(c4z, _capacity_classes(c4z))
+    assert not _scattered(c4z.adj, _capacity_classes(c4z.adj))
 
 
 def test_path_forced_edges_settle_family_members_without_search(monkeypatch):
@@ -543,7 +543,7 @@ def test_certificate_settles_family_members_without_search(monkeypatch):
     )
     for seed, g in enumerate(members):
         h = _relabelled(g, seed)
-        assert _scattered(h, _capacity_classes(h))
+        assert _scattered(h.adj, _capacity_classes(h.adj))
         assert find_hamiltonian_cycle(h) is None
     assert calls == []
 
@@ -820,7 +820,7 @@ def test_cut_vertex_pass_matches_vertex_deletion():
     graphs = [random_graph(rng, rng.randrange(3, 16), rng.random()) for _ in range(3000)]
     graphs += [g for n in range(3, 8) for g in enumerate_nonisomorphic(n)]
     cuts = 0
-    for g in filter(_connected, graphs):
+    for g in filter(lambda g: _connected(g.adj), graphs):
         full = (1 << g.n) - 1
         want = False
         for v in range(g.n):
@@ -838,7 +838,7 @@ def test_cut_vertex_settles_a_thinned_family_member(monkeypatch):
     # cut-vertex pass the search got no answer within 60 s
     g = graph6_decode("S|{FoGD]f~~R]fyF}RwIOubxg]gJOBs~O")
     assert _has_cut_vertex(g.adj)
-    assert not _scattered(g, _capacity_classes(g))
+    assert not _scattered(g.adj, _capacity_classes(g.adj))
     calls = []
     search = hamilton._extend_path
     monkeypatch.setattr(
@@ -851,3 +851,33 @@ def test_cut_vertex_settles_a_thinned_family_member(monkeypatch):
     s = saturate(g)
     assert is_saturated(s)
     assert all(s.has_edge(u, v) for u, v in g.edges())
+
+
+def test_kernels_build_no_graph(monkeypatch):
+    # the kernels read the rows they are handed: past the tables, no query
+    # below wraps rows in a Graph, checked or unchecked, though G + z has
+    # order 65 at n = 64 and G + K_3 order 67
+    from nonham import graphs
+    from nonham.counting import count_cliques
+
+    rng = random.Random(34)
+    small = [random_graph(rng, n, p) for n in range(9, 13) for p in (0.3, 0.6)]
+    small += [_relabelled(build_Kprime(n, 2), n) for n in range(9, 13)]
+    large = [_relabelled(build_H(64, 3), 1), _relabelled(build_GprimeD(64, 3), 2)]
+    large.append(random_graph(rng, 64, 0.5))
+    made = []
+    new_object = graphs._new_object
+    check = graphs.Graph.__post_init__
+    monkeypatch.setattr(graphs, "_new_object", lambda cls: made.append(cls) or new_object(cls))
+    monkeypatch.setattr(graphs.Graph, "__post_init__", lambda g: made.append(type(g)) or check(g))
+    for g in small + large:
+        is_hamiltonian(g)
+        find_hamiltonian_cycle(g)
+        count_cliques(g, 3)
+    h, gd, _ = large
+    assert not is_hamiltonian(h) and is_hamiltonian(gd)
+    for g in large:
+        for u, v in ((0, 1), (5, 20), (63, 2)):
+            hamiltonian_path_between(g, u, v)
+        assert path_partition(g, 3) is not None
+    assert made == []

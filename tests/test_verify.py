@@ -195,7 +195,7 @@ def test_threshold_past_every_graph_skips_the_counts(monkeypatch):
     # at n=7, d=3 the h_k(7,5,2) = 26 threshold exceeds C(7,2) = 21, so the
     # edge floor turns every graph away before a clique count
     calls = []
-    monkeypatch.setattr(verify, "_clique_count", lambda n, adj, k: calls.append(k) or 0)
+    monkeypatch.setattr(verify, "_clique_count", lambda adj, k: calls.append(k) or 0)
     report = verify_stability(7, 3, 2, stream(7))
     assert report.verified
     assert report.graphs_checked == 0
